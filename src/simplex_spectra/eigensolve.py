@@ -27,12 +27,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensors import SymmetricTensor, apply_m, apply_m1, apply_m2
+from .tensors import UNIT_NORM_TOL, SymmetricTensor, apply_m, apply_m1, apply_m2
 
 ACCEPT_TOL = 1e-10
 ZERO_LAMBDA_TOL = 1e-10
 DEGENERATE_CONTRACTION_TOL = 1e-12
-UNIT_NORM_TOL = 1e-12
+# Two canonicalized pairs are the same pair when both their eigenvalues and
+# their eigenvector directions agree within these.
+MATCH_LAMBDA_TOL = 1e-8
+MATCH_ANGLE_TOL = 1e-8
 
 MIN_SCAN_GRID = 360
 SCAN_THETA_RESOLUTION = 1e-14
@@ -197,8 +200,7 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     return PowerResult(STATUS_MAX_ITER, None, max_iter, list(tail))
 
 
-def newton_refine(tensor: SymmetricTensor, v0, tol: float = ACCEPT_TOL,
-                  max_iter: int = 50) -> Eigenpair:
+def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
     """Newton's method on F(v, lambda) = (S v^{m-1} - lambda v, v.v - 1).
 
     The linearization is the bordered system
@@ -207,8 +209,6 @@ def newton_refine(tensor: SymmetricTensor, v0, tol: float = ACCEPT_TOL,
     Convergence is judged on the KKT residual of the normalized iterate, so a
     start that already satisfies it is returned after zero steps.
     """
-    if tol <= 0:
-        raise ValueError("refinement tolerance must be positive")
     n, m = tensor.dim, tensor.order
     v = np.asarray(v0, dtype=float)
     norm = np.linalg.norm(v)
@@ -221,7 +221,7 @@ def newton_refine(tensor: SymmetricTensor, v0, tol: float = ACCEPT_TOL,
         vn = v / np.linalg.norm(v)
         lam_n = apply_m(tensor, vn)
         residual = float(np.linalg.norm(apply_m1(tensor, vn) - lam_n * vn))
-        if residual <= tol:
+        if residual <= ACCEPT_TOL:
             return make_eigenpair(tensor, vn, iterations=k, source=SOURCE_NEWTON)
         best = residual if best is None else min(best, residual)
         if k == max_iter:
@@ -252,23 +252,21 @@ def newton_refine(tensor: SymmetricTensor, v0, tol: float = ACCEPT_TOL,
     )
 
 
-def dedup(pairs: Sequence[Eigenpair], angle_tol: float = 1e-8,
-          lambda_tol: float = 1e-8) -> List[Eigenpair]:
+def _same_pair(p: Eigenpair, r: Eigenpair) -> bool:
+    return (abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL
+            and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
+
+
+def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
     """Merge canonicalized duplicates; keep the representative with the
     smallest KKT residual. Output is sorted by descending lambda, then
     lexicographically by eigenvector entries."""
-    if angle_tol <= 0 or lambda_tol <= 0:
-        raise ValueError("dedup tolerances must be positive")
     ordered = sorted(
         pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v))
     )
     reps: List[Eigenpair] = []
     for p in ordered:
-        if not any(
-            abs(p.lam - r.lam) <= lambda_tol
-            and angle_between(p.v, r.v) <= angle_tol
-            for r in reps
-        ):
+        if not any(_same_pair(p, r) for r in reps):
             reps.append(p)
     reps.sort(key=lambda p: (-p.lam, tuple(p.v)))
     return reps
@@ -291,9 +289,7 @@ def _tangential_residual(tensor: SymmetricTensor, theta: float) -> Tuple[float, 
     return float(-v[1] * g[0] + v[0] * g[1]), float(np.linalg.norm(g))
 
 
-def enumerate_2d(tensor: SymmetricTensor, grid: int = 720,
-                 angle_tol: float = 1e-8,
-                 lambda_tol: float = 1e-8) -> Enumeration2D:
+def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
     """Exhaustive eigenpair enumeration for n = 2 by scanning the half circle.
 
     g(theta) = v_perp . S v(theta)^{m-1} is a trig polynomial of degree m, so
@@ -324,7 +320,7 @@ def enumerate_2d(tensor: SymmetricTensor, grid: int = 720,
                            source=SOURCE_SCAN)
             for t in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
         ]
-        return Enumeration2D(dedup(reps, angle_tol, lambda_tol), True, cells)
+        return Enumeration2D(dedup(reps), True, cells)
     # A residual at the noise floor marks a root sitting on a grid point
     # (frame vectors often do); relying on a sign change there would make the
     # detection depend on the sign of roundoff noise.
@@ -356,7 +352,7 @@ def enumerate_2d(tensor: SymmetricTensor, grid: int = 720,
                        source=SOURCE_SCAN)
         for t in roots
     ]
-    return Enumeration2D(dedup(pairs, angle_tol, lambda_tol), False, cells)
+    return Enumeration2D(dedup(pairs), False, cells)
 
 
 @dataclass(eq=False)
@@ -374,10 +370,7 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                tol: float = 1e-12, max_iter: int = 5000,
-                newton_tol: float = ACCEPT_TOL,
-                angle_tol: float = 1e-8,
-                lambda_tol: float = 1e-8) -> SolveSummary:
+                tol: float = 1e-12, max_iter: int = 5000) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
     Start i draws from the substream seeded by (seed, i), so results do not
@@ -403,25 +396,20 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
             continue
         if run.status == STATUS_CONVERGED:
             try:
-                converged.append(
-                    newton_refine(tensor, run.pair.v, tol=newton_tol)
-                )
+                converged.append(newton_refine(tensor, run.pair.v))
             except RefinementError:
                 failures += 1
         else:
             failures += 1
             try:
-                rescued.append(
-                    newton_refine(tensor, run.trajectory_tail[-1], tol=newton_tol)
-                )
+                rescued.append(newton_refine(tensor, run.trajectory_tail[-1]))
             except RefinementError:
                 pass
-    pairs = dedup(converged + rescued, angle_tol, lambda_tol)
+    pairs = dedup(converged + rescued)
     counts = [0] * len(pairs)
     for p in converged:
         for j, r in enumerate(pairs):
-            if (abs(p.lam - r.lam) <= lambda_tol
-                    and angle_between(p.v, r.v) <= angle_tol):
+            if _same_pair(p, r):
                 counts[j] += 1
                 break
     return SolveSummary(pairs, counts, failures, starts, seed)

@@ -14,10 +14,9 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .tensors import SymmetricTensor, from_rank_one_sum
+from .tensors import UNIT_NORM_TOL, SymmetricTensor, from_rank_one_sum
 
 METADATA_TOL = 1e-10
-UNIT_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

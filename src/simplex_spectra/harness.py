@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -35,11 +35,6 @@ from .stability import (
     report_to_payload,
 )
 
-SWEEP_CSV_COLUMNS = (
-    "n", "m", "lambda_closed", "rho_closed", "rho_numeric",
-    "robust_closed", "robust_numeric", "n_plus_m", "threshold_pass",
-)
-
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATION = "violation"
 
@@ -61,6 +56,9 @@ class SweepRow:
     robust_numeric: str
     n_plus_m: int
     threshold_pass: bool
+
+
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(n_values: Sequence[int], m_values: Sequence[int]) -> List[SweepRow]:
@@ -152,8 +150,7 @@ class ConjectureReport:
 
 def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
                      grid: int = 720, newton_seeds: int = 2000,
-                     power_max_iter: int = 400,
-                     alignment_tol: float = FRAME_ALIGNMENT_TOL) -> ConjectureReport:
+                     power_max_iter: int = 400) -> ConjectureReport:
     """Check that every robust eigenpair of the simplex tensor is a frame
     vector, and that the frame vectors classify as predicted.
 
@@ -200,7 +197,7 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
 
     violation = None
     for rep, angle in zip(robust, alignment):
-        if angle > alignment_tol:
+        if angle > FRAME_ALIGNMENT_TOL:
             violation = {
                 "reason": "robust eigenpair away from every frame vector",
                 "pair": report_to_payload(rep),
@@ -244,20 +241,7 @@ def _timestamp() -> str:
 def sweep_to_payload(rows: Sequence[SweepRow],
                      include_timestamp: bool = True) -> dict:
     payload = {
-        "rows": [
-            {
-                "n": r.n,
-                "m": r.m,
-                "lambda_closed": r.lambda_closed,
-                "rho_closed": r.rho_closed,
-                "rho_numeric": r.rho_numeric,
-                "robust_closed": r.robust_closed,
-                "robust_numeric": r.robust_numeric,
-                "n_plus_m": r.n_plus_m,
-                "threshold_pass": r.threshold_pass,
-            }
-            for r in rows
-        ]
+        "rows": [dict(zip(SWEEP_CSV_COLUMNS, astuple(r))) for r in rows]
     }
     if include_timestamp:
         payload["timestamp"] = _timestamp()
@@ -311,10 +295,4 @@ def emit_report(data, fmt: str, path, include_timestamp: bool = True) -> None:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for r in rows:
-            writer.writerow([
-                _csv_cell(r.n), _csv_cell(r.m),
-                _csv_cell(r.lambda_closed), _csv_cell(r.rho_closed),
-                _csv_cell(r.rho_numeric), _csv_cell(r.robust_closed),
-                _csv_cell(r.robust_numeric), _csv_cell(r.n_plus_m),
-                _csv_cell(r.threshold_pass),
-            ])
+            writer.writerow([_csv_cell(x) for x in astuple(r)])

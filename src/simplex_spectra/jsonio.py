@@ -1,15 +1,15 @@
 """JSON read/write helpers shared by every file format in the package.
 
 Floats are written with 17 significant digits so that each value parses back
-to the identical IEEE double. The stock C encoder hardcodes repr(), so we
-route encoding through the pure-python serializer with our own formatter.
+to the identical IEEE double. The stock encoder formats floats with repr(),
+so dicts and lists are laid out here as ``json.dumps(..., indent=indent)``
+lays them out, and every other scalar and every key goes through json.dumps.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
@@ -19,26 +19,29 @@ def _float17(value: float) -> str:
     return format(value, ".17g")
 
 
-class _Float17Encoder(json.JSONEncoder):
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        make = json.encoder._make_iterencode
-        return make(
-            markers,
-            self.default,
-            encode_basestring_ascii,
-            self.indent,
-            _float17,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )(o, 0)
+def _encode(value, indent: int, level: int) -> str:
+    if isinstance(value, dict):
+        # a key that is not a string is written as the string of its JSON text
+        items = [
+            json.dumps(k if isinstance(k, str) else _encode(k, indent, level))
+            + ": " + _encode(v, indent, level + 1)
+            for k, v in value.items()
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_encode(v, indent, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return _float17(value) if isinstance(value, float) else json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + " " * (indent * (level + 1))
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + " " * (indent * level) + brackets[1])
 
 
 def dumps(payload, indent: int = 2) -> str:
-    return json.dumps(payload, cls=_Float17Encoder, indent=indent)
+    return _encode(payload, indent, 0)
 
 
 def dump(payload, path) -> None:

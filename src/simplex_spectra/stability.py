@@ -55,13 +55,12 @@ def projected_hessian(tensor: SymmetricTensor, pair: Eigenpair) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
-def jacobian(tensor: SymmetricTensor, pair: Eigenpair,
-             lambda_floor: float = LAMBDA_FLOOR) -> np.ndarray:
+def jacobian(tensor: SymmetricTensor, pair: Eigenpair) -> np.ndarray:
     """Power-map Jacobian J = ((m-1)/lambda) (S v^{m-2} - lambda v v^T)."""
-    if abs(pair.lam) <= lambda_floor:
+    if abs(pair.lam) <= LAMBDA_FLOOR:
         raise ValueError(
             "power-map Jacobian is undefined for eigenvalues at or below "
-            f"the floor {lambda_floor}"
+            f"the floor {LAMBDA_FLOOR}"
         )
     j = ((tensor.order - 1) / pair.lam) * (
         apply_m2(tensor, pair.v) - pair.lam * np.outer(pair.v, pair.v)
@@ -69,17 +68,17 @@ def jacobian(tensor: SymmetricTensor, pair: Eigenpair,
     return 0.5 * (j + j.T)
 
 
-def sym_eigen(matrix, sym_tol: float = SYMMETRY_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def sym_eigen(matrix) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    Rejects input whose asymmetry exceeds ``sym_tol`` instead of silently
+    Rejects input whose asymmetry exceeds ``SYMMETRY_TOL`` instead of silently
     symmetrizing a matrix that was never symmetric to begin with.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.max(np.abs(a - a.T))) > sym_tol:
-        raise ValueError(f"matrix is not symmetric within {sym_tol}")
+    if a.size and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     return values, vectors
 
@@ -101,16 +100,14 @@ def _drop_forced_zero(spectrum: np.ndarray, vectors: np.ndarray,
     return np.delete(spectrum, drop)
 
 
-def classify_stationarity(k_spectrum, k_vectors, v,
-                          tol: float = STATIONARITY_TOL) -> str:
+def classify_stationarity(k_spectrum, k_vectors, v) -> str:
     """Constrained stationarity from the projected Hessian spectrum.
 
     After discarding the forced zero along v: all remaining eigenvalues
-    below -tol is a local max, all above +tol a local min, any inside
-    [-tol, tol] degenerate, otherwise a saddle.
+    below -STATIONARITY_TOL is a local max, all above +STATIONARITY_TOL a
+    local min, any within STATIONARITY_TOL of 0 degenerate, otherwise a
+    saddle.
     """
-    if tol <= 0:
-        raise ValueError("stationarity tolerance must be positive")
     spectrum = np.asarray(k_spectrum, dtype=float)
     rest = _drop_forced_zero(spectrum, np.asarray(k_vectors, dtype=float),
                              np.asarray(v, dtype=float))
@@ -118,45 +115,40 @@ def classify_stationarity(k_spectrum, k_vectors, v,
         return STAT_DEGENERATE
     if rest.size == 0:
         return STAT_LOCAL_MAX  # dim 1: the sphere is two points, both maxima
-    if np.any(np.abs(rest) <= tol):
+    if np.any(np.abs(rest) <= STATIONARITY_TOL):
         return STAT_DEGENERATE
-    if np.all(rest < -tol):
+    if np.all(rest < -STATIONARITY_TOL):
         return STAT_LOCAL_MAX
-    if np.all(rest > tol):
+    if np.all(rest > STATIONARITY_TOL):
         return STAT_LOCAL_MIN
     return STAT_SADDLE
 
 
-def classify_robustness(j_spectrum, lam: float,
-                        tol: float = ROBUSTNESS_TOL,
-                        lambda_floor: float = LAMBDA_FLOOR) -> str:
+def classify_robustness(j_spectrum, lam: float) -> str:
     """Attractiveness of the pair under the power map, from the J spectrum.
 
-    rho < 1 - tol is robust, rho > 1 + tol is not, anything within tol of 1
-    is boundary. Pairs with |lambda| at or below the floor have no Jacobian
-    and come back undefined.
+    rho < 1 - ROBUSTNESS_TOL is robust, rho > 1 + ROBUSTNESS_TOL is not,
+    anything within ROBUSTNESS_TOL of 1 is boundary. Pairs with |lambda| at
+    or below LAMBDA_FLOOR have no Jacobian and come back undefined.
     """
-    if tol <= 0:
-        raise ValueError("robustness tolerance must be positive")
-    if abs(lam) <= lambda_floor:
+    if abs(lam) <= LAMBDA_FLOOR:
         return ROB_UNDEFINED
     rho = float(np.max(np.abs(np.asarray(j_spectrum, dtype=float))))
-    if abs(rho - 1.0) <= tol:
+    if abs(rho - 1.0) <= ROBUSTNESS_TOL:
         return ROB_BOUNDARY
     return ROB_ROBUST if rho < 1.0 else ROB_NOT_ROBUST
 
 
-def lemma_bridge_residual(tensor: SymmetricTensor, pair: Eigenpair,
-                          lambda_floor: float = LAMBDA_FLOOR) -> float:
+def lemma_bridge_residual(tensor: SymmetricTensor, pair: Eigenpair) -> float:
     """Frobenius residual of lambda J = K + lambda (I - v v^T).
 
     The identity couples the two classification matrices; on a true eigenpair
     it holds to roundoff, so the residual doubles as a consistency check of
     the contraction plumbing.
     """
-    if abs(pair.lam) <= lambda_floor:
+    if abs(pair.lam) <= LAMBDA_FLOOR:
         raise ValueError("bridge identity needs |lambda| above the floor")
-    j = jacobian(tensor, pair, lambda_floor)
+    j = jacobian(tensor, pair)
     k = projected_hessian(tensor, pair)
     p = np.eye(tensor.dim) - np.outer(pair.v, pair.v)
     return float(np.linalg.norm(pair.lam * j - k - pair.lam * p, ord="fro"))
@@ -221,7 +213,7 @@ def closed_form_verdict(rho: Fraction) -> str:
 @dataclass(eq=False)
 class StabilityReport:
     """Both classifications for one eigenpair. ``j_spectrum`` and ``rho`` are
-    None when |lambda| sits at or below the floor (no power-map Jacobian)."""
+    None when |lambda| sits at or below LAMBDA_FLOOR (no power-map Jacobian)."""
 
     pair: Eigenpair
     k_spectrum: np.ndarray
@@ -231,22 +223,17 @@ class StabilityReport:
     robust: str
 
 
-def classify_pair(tensor: SymmetricTensor, pair: Eigenpair,
-                  stationarity_tol: float = STATIONARITY_TOL,
-                  robustness_tol: float = ROBUSTNESS_TOL,
-                  lambda_floor: float = LAMBDA_FLOOR) -> StabilityReport:
+def classify_pair(tensor: SymmetricTensor, pair: Eigenpair) -> StabilityReport:
     """Run both classifiers on one eigenpair and collect the evidence."""
     k = projected_hessian(tensor, pair)
     k_values, k_vectors = sym_eigen(k)
-    stationarity = classify_stationarity(k_values, k_vectors, pair.v,
-                                         tol=stationarity_tol)
-    if abs(pair.lam) <= lambda_floor:
+    stationarity = classify_stationarity(k_values, k_vectors, pair.v)
+    if abs(pair.lam) <= LAMBDA_FLOOR:
         return StabilityReport(pair, k_values, None, None,
                                stationarity, ROB_UNDEFINED)
-    j_values, _ = sym_eigen(jacobian(tensor, pair, lambda_floor))
+    j_values, _ = sym_eigen(jacobian(tensor, pair))
     rho = float(np.max(np.abs(j_values)))
-    robust = classify_robustness(j_values, pair.lam,
-                                 tol=robustness_tol, lambda_floor=lambda_floor)
+    robust = classify_robustness(j_values, pair.lam)
     return StabilityReport(pair, k_values, j_values, rho, stationarity, robust)
 
 

@@ -13,7 +13,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,16 +120,6 @@ class SymmetricTensor:
     def repr_kind(self) -> str:
         return "dense" if self.is_dense else "factored"
 
-    @property
-    def rank_one_terms(self) -> List[Tuple[float, np.ndarray]]:
-        """Factored terms as (weight, vector) pairs; empty for dense storage."""
-        if self.is_dense:
-            return []
-        return [
-            (float(c), self.vectors[:, i])
-            for i, c in enumerate(self.weights)
-        ]
-
 
 def outer_power(v, order: int, cap: Optional[int] = None) -> SymmetricTensor:
     """Dense m-th outer power v (x) v (x) ... (x) v of a unit vector."""
@@ -206,7 +196,7 @@ def densify(tensor: SymmetricTensor, cap: Optional[int] = None) -> SymmetricTens
         return tensor
     _check_capacity(tensor.dim, tensor.order, cap)
     total = np.zeros((tensor.dim,) * tensor.order)
-    for c, w in tensor.rank_one_terms:
+    for c, w in zip(tensor.weights, tensor.vectors.T):
         total += c * reduce(np.multiply.outer, [w] * tensor.order)
     return SymmetricTensor(order=tensor.order, dim=tensor.dim, entries=total)
 
@@ -270,7 +260,7 @@ def tensor_to_payload(tensor: SymmetricTensor) -> dict:
         "repr": "factored",
         "terms": [
             {"weight": float(c), "vector": [float(x) for x in w]}
-            for c, w in tensor.rank_one_terms
+            for c, w in zip(tensor.weights, tensor.vectors.T)
         ],
     }
 

@@ -239,11 +239,6 @@ def test_dedup_orders_by_descending_eigenvalue():
     assert [p.lam for p in reps] == [2.0, 0.1]
 
 
-def test_dedup_rejects_non_positive_tolerances():
-    with pytest.raises(ValueError):
-        dedup([], angle_tol=0.0)
-
-
 # ---------------------------------------------------------------- sign rules
 
 

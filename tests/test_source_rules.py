@@ -1,0 +1,52 @@
+"""Static rules over the package source.
+
+Each tolerance constant (a module-level name ending in _TOL or _FLOOR) is
+assigned in one module only, so changing it is a one-line edit; and no module
+depends on the private internals of the stdlib json encoder.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simplex_spectra"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_each_tolerance_constant_has_one_home():
+    homes = defaultdict(list)
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) \
+                        and target.id.endswith(("_TOL", "_FLOOR")):
+                    homes[target.id].append(name)
+    assert homes, "no tolerance constants found"
+    shared = {const: mods for const, mods in homes.items() if len(mods) > 1}
+    assert not shared
+
+
+def test_no_module_uses_json_encoder_internals():
+    offenders = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json.encoder":
+                offenders.append(name)
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "json.encoder" for alias in node.names):
+                offenders.append(name)
+            elif isinstance(node, ast.Attribute) and node.attr == "encoder" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "json":
+                offenders.append(name)
+    assert not offenders
