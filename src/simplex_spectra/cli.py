@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import jsonio
@@ -37,7 +38,7 @@ from .harness import (
     validate_sweep_row,
 )
 from .stability import classify_pair, report_to_payload
-from .tensors import CapacityError, load_tensor, save_tensor
+from .tensors import CapacityError, load_tensor, save_tensor, tensor_to_payload
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,14 +87,7 @@ def _cmd_frame_build(args) -> int:
 def _cmd_frame_certify(args) -> int:
     frame = load_frame(args.infile)
     report = certify(frame, tol=args.tol)
-    print(jsonio.dumps({
-        "unit_norms": report.unit_norms,
-        "equiangular": report.equiangular,
-        "alpha": report.alpha,
-        "tight": report.tight,
-        "a": report.a,
-        "max_violation": report.max_violation,
-    }))
+    print(jsonio.dumps(asdict(report)))
     ok = report.unit_norms and report.equiangular and report.tight
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -138,7 +132,11 @@ def _cmd_eig_enumerate2d(args) -> int:
 
 def _cmd_eig_classify(args) -> int:
     tensor = load_tensor(args.tensor)
-    _, pairs, _ = pairs_from_payload(jsonio.load(args.pairs))
+    solved_on, pairs, _ = pairs_from_payload(jsonio.load(args.pairs))
+    if tensor_to_payload(solved_on) != tensor_to_payload(tensor):
+        raise ValueError(
+            f"{args.pairs} was solved on a different tensor than {args.tensor}"
+        )
     reports = [classify_pair(tensor, p) for p in pairs]
     jsonio.dump({"reports": [report_to_payload(r) for r in reports]}, args.out)
     print(f"classified {len(reports)} eigenpairs; wrote {args.out}")

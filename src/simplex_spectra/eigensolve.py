@@ -20,17 +20,16 @@ by the first nonzero component).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensors import UNIT_NORM_TOL, SymmetricTensor, apply_m, apply_m1, apply_m2
+from .tensors import (UNIT_NORM_TOL, SymmetricTensor, apply_m, apply_m1,
+                      apply_m2, tensor_from_payload, tensor_to_payload)
 
 ACCEPT_TOL = 1e-10
-ZERO_LAMBDA_TOL = 1e-10
 DEGENERATE_CONTRACTION_TOL = 1e-12
 # Two canonicalized pairs are the same pair when both their eigenvalues and
 # their eigenvector directions agree within these.
@@ -78,7 +77,6 @@ class Eigenpair:
     kkt_residual: float
     iterations: int = 0
     source: str = SOURCE_CLOSED
-    zero_lambda: bool = False
 
     def __post_init__(self):
         v = np.array(self.v, dtype=float, copy=True)
@@ -119,16 +117,9 @@ def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
     v = v / norm
     lam = apply_m(tensor, v)
     lam, v = canonical_sign(lam, v, tensor.order)
-    g = apply_m1(tensor, v)
-    residual = float(np.linalg.norm(g - lam * v))
-    return Eigenpair(
-        lam=float(lam),
-        v=v,
-        kkt_residual=residual,
-        iterations=iterations,
-        source=source,
-        zero_lambda=bool(np.linalg.norm(g) <= ZERO_LAMBDA_TOL),
-    )
+    residual = float(np.linalg.norm(apply_m1(tensor, v) - lam * v))
+    return Eigenpair(lam=float(lam), v=v, kkt_residual=residual,
+                     iterations=iterations, source=source)
 
 
 def angle_between(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,12 +146,13 @@ def power_step(tensor: SymmetricTensor, v) -> np.ndarray:
 
 @dataclass(eq=False)
 class PowerResult:
-    """Power iteration outcome; ``pair`` is set only when status is converged."""
+    """Power iteration outcome; ``pair`` is set only when status is converged
+    and ``last`` is the final iterate."""
 
     status: str
     pair: Optional[Eigenpair]
     iterations: int
-    trajectory_tail: List[np.ndarray]
+    last: np.ndarray
 
 
 def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
@@ -184,20 +176,18 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     if norm == 0.0:
         raise ValueError("starting vector must be nonzero")
     cur = cur / norm
-    tail: deque = deque([cur], maxlen=4)
     prev: Optional[np.ndarray] = None
     for k in range(max_iter):
         nxt = power_step(tensor, cur)
-        tail.append(nxt)
         if np.linalg.norm(nxt - cur) <= tol:
             pair = make_eigenpair(tensor, nxt, iterations=k, source=SOURCE_POWER)
-            return PowerResult(STATUS_CONVERGED, pair, k, list(tail))
+            return PowerResult(STATUS_CONVERGED, pair, k, nxt)
         if prev is not None and np.linalg.norm(nxt - prev) <= tol \
                 and np.linalg.norm(nxt - cur) > CYCLE_SEPARATION:
-            return PowerResult(STATUS_CYCLING, None, k, list(tail))
+            return PowerResult(STATUS_CYCLING, None, k, nxt)
         prev = cur
         cur = nxt
-    return PowerResult(STATUS_MAX_ITER, None, max_iter, list(tail))
+    return PowerResult(STATUS_MAX_ITER, None, max_iter, cur)
 
 
 def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
@@ -366,7 +356,6 @@ class SolveSummary:
     basin_counts: List[int]
     failures: int
     starts: int
-    seed: int
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
@@ -402,7 +391,7 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
         else:
             failures += 1
             try:
-                rescued.append(newton_refine(tensor, run.trajectory_tail[-1]))
+                rescued.append(newton_refine(tensor, run.last))
             except RefinementError:
                 pass
     pairs = dedup(converged + rescued)
@@ -412,7 +401,7 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
             if _same_pair(p, r):
                 counts[j] += 1
                 break
-    return SolveSummary(pairs, counts, failures, starts, seed)
+    return SolveSummary(pairs, counts, failures, starts)
 
 
 def _generalized_golden(dim: int) -> float:
@@ -471,22 +460,16 @@ def pair_to_payload(pair: Eigenpair) -> dict:
 
 
 def pair_from_payload(payload: dict) -> Eigenpair:
-    v = np.asarray(payload["v"], dtype=float)
-    g_zero = bool(payload.get("zero_lambda", abs(payload["lambda"]) <= ZERO_LAMBDA_TOL))
     return Eigenpair(
         lam=float(payload["lambda"]),
-        v=v,
+        v=np.asarray(payload["v"], dtype=float),
         kkt_residual=float(payload["residual"]),
-        iterations=int(payload.get("iterations", 0)),
         source=str(payload.get("source", SOURCE_CLOSED)),
-        zero_lambda=g_zero,
     )
 
 
 def pairs_to_payload(tensor: SymmetricTensor, pairs: Sequence[Eigenpair],
                      seed: Optional[int]) -> dict:
-    from .tensors import tensor_to_payload
-
     return {
         "tensor": tensor_to_payload(tensor),
         "pairs": [pair_to_payload(p) for p in pairs],
@@ -496,8 +479,6 @@ def pairs_to_payload(tensor: SymmetricTensor, pairs: Sequence[Eigenpair],
 
 def pairs_from_payload(payload: dict):
     """Inverse of pairs_to_payload: (tensor, eigenpairs, seed)."""
-    from .tensors import tensor_from_payload
-
     tensor = tensor_from_payload(payload["tensor"])
     pairs = [pair_from_payload(p) for p in payload["pairs"]]
     return tensor, pairs, payload.get("seed")

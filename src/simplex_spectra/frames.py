@@ -16,26 +16,20 @@ import numpy as np
 from . import jsonio
 from .tensors import UNIT_NORM_TOL, SymmetricTensor, from_rank_one_sum
 
-METADATA_TOL = 1e-10
+FRAME_GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A finite set of vectors in R^dim, stored as the columns of ``vectors``.
 
-    ``coherence`` (the common |<w_i, w_j>|), ``tight_constant`` (a with
-    W W^T = a I) and ``signed_coherence`` (common signed off-diagonal) are
-    optional claims; when present they are verified at construction. Frames
-    built by hand, e.g. to exercise certify(), may omit them and carry
-    arbitrary columns.
+    Only the shape is checked here, so hand-built frames may carry arbitrary
+    columns; certify() checks the frame conditions.
     """
 
     dim: int
     count: int
     vectors: np.ndarray
-    coherence: Optional[float] = None
-    tight_constant: Optional[float] = None
-    signed_coherence: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -50,23 +44,6 @@ class Frame:
             )
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
-        gram = vecs.T @ vecs
-        if self.coherence is not None or self.signed_coherence is not None:
-            if np.max(np.abs(np.diag(gram) - 1.0)) > UNIT_NORM_TOL:
-                raise ValueError("claimed equiangular frame has non-unit columns")
-            off = gram[~np.eye(self.count, dtype=bool)]
-            if self.coherence is not None and off.size:
-                if np.max(np.abs(np.abs(off) - self.coherence)) > METADATA_TOL:
-                    raise ValueError("claimed coherence does not match the Gram matrix")
-            if self.signed_coherence is not None and off.size:
-                if np.max(np.abs(off - self.signed_coherence)) > METADATA_TOL:
-                    raise ValueError(
-                        "claimed signed coherence does not match the Gram matrix"
-                    )
-        if self.tight_constant is not None:
-            outer = vecs @ vecs.T
-            if np.max(np.abs(outer - self.tight_constant * np.eye(self.dim))) > METADATA_TOL:
-                raise ValueError("claimed tight constant does not match W W^T")
 
 
 def regular_simplex_frame(n: int) -> Frame:
@@ -89,28 +66,21 @@ def regular_simplex_frame(n: int) -> Frame:
         basis.append(q)
     coords = np.asarray(basis) @ verts.T  # (n, n+1)
     coords /= np.linalg.norm(coords, axis=0)
-    return Frame(
-        dim=n,
-        count=n + 1,
-        vectors=coords,
-        coherence=1.0 / n,
-        tight_constant=(n + 1) / n,
-        signed_coherence=-1.0 / n,
-    )
+    gram = coords.T @ coords
+    off = gram[~np.eye(n + 1, dtype=bool)]
+    if np.max(np.abs(np.diag(gram) - 1.0)) > UNIT_NORM_TOL \
+            or np.max(np.abs(off + 1.0 / n)) > FRAME_GRAM_TOL \
+            or np.max(np.abs(coords @ coords.T - (n + 1) / n * np.eye(n))) \
+            > FRAME_GRAM_TOL:
+        raise ValueError(f"simplex frame construction failed for n = {n}")
+    return Frame(dim=n, count=n + 1, vectors=coords)
 
 
 def orthonormal_frame(n: int) -> Frame:
     """The standard basis of R^n as a frame (coherence 0, tight constant 1)."""
     if n < 1:
         raise ValueError("orthonormal frame needs n >= 1")
-    return Frame(
-        dim=n,
-        count=n,
-        vectors=np.eye(n),
-        coherence=0.0 if n > 1 else None,
-        tight_constant=1.0,
-        signed_coherence=0.0 if n > 1 else None,
-    )
+    return Frame(dim=n, count=n, vectors=np.eye(n))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ VERDICT_VIOLATION = "violation"
 ROBUST_THRESHOLD_SUM = 7  # robust frame vectors appear exactly when n + m >= 7
 FRAME_ALIGNMENT_TOL = 1e-6
 RHO_AGREEMENT_TOL = 1e-8
+# power-iteration cap for each random start of conjecture_check
+POWER_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,7 @@ class ConjectureReport:
 
 
 def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
-                     grid: int = 720, newton_seeds: int = 2000,
-                     power_max_iter: int = 400) -> ConjectureReport:
+                     grid: int = 720, newton_seeds: int = 2000) -> ConjectureReport:
     """Check that every robust eigenpair of the simplex tensor is a frame
     vector, and that the frame vectors classify as predicted.
 
@@ -174,7 +175,7 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
         heuristic = False
     else:
         summary = multi_start(tensor, starts=starts, seed=seed,
-                              max_iter=power_max_iter)
+                              max_iter=POWER_MAX_ITER)
         gathered = list(summary.pairs)
         for point in sphere_grid(n, newton_seeds):
             try:
@@ -250,21 +251,8 @@ def sweep_to_payload(rows: Sequence[SweepRow],
 
 def conjecture_to_payload(report: ConjectureReport,
                           include_timestamp: bool = True) -> dict:
-    payload = {
-        "n": report.n,
-        "m": report.m,
-        "found_pairs": report.found_pairs,
-        "robust_pairs": [report_to_payload(r) for r in report.robust_pairs],
-        "frame_alignment": [float(a) for a in report.frame_alignment],
-        "frame_verdicts": list(report.frame_verdicts),
-        "frame_verdict_expected": report.frame_verdict_expected,
-        "verdict": report.verdict,
-        "violation": report.violation,
-        "heuristic": report.heuristic,
-        "isotropic": report.isotropic,
-        "starts": report.starts,
-        "seed": report.seed,
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload["robust_pairs"] = [report_to_payload(r) for r in report.robust_pairs]
     if include_timestamp:
         payload["timestamp"] = _timestamp()
     return payload

@@ -2,7 +2,7 @@
 
 Floats are written with 17 significant digits so that each value parses back
 to the identical IEEE double. The stock encoder formats floats with repr(),
-so dicts and lists are laid out here as ``json.dumps(..., indent=indent)``
+so dicts and lists are laid out here as ``json.dumps(..., indent=INDENT)``
 lays them out, and every other scalar and every key goes through json.dumps.
 """
 
@@ -12,6 +12,8 @@ import json
 import math
 from pathlib import Path
 
+INDENT = 2
+
 
 def _float17(value: float) -> str:
     if not math.isfinite(value):
@@ -19,29 +21,29 @@ def _float17(value: float) -> str:
     return format(value, ".17g")
 
 
-def _encode(value, indent: int, level: int) -> str:
+def _encode(value, level: int) -> str:
     if isinstance(value, dict):
         # a key that is not a string is written as the string of its JSON text
         items = [
-            json.dumps(k if isinstance(k, str) else _encode(k, indent, level))
-            + ": " + _encode(v, indent, level + 1)
+            json.dumps(k if isinstance(k, str) else _encode(k, level))
+            + ": " + _encode(v, level + 1)
             for k, v in value.items()
         ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_encode(v, indent, level + 1) for v in value]
+        items = [_encode(v, level + 1) for v in value]
         brackets = "[]"
     else:
         return _float17(value) if isinstance(value, float) else json.dumps(value)
     if not items:
         return brackets
-    inner = "\n" + " " * (indent * (level + 1))
+    inner = "\n" + " " * (INDENT * (level + 1))
     return (brackets[0] + inner + ("," + inner).join(items)
-            + "\n" + " " * (indent * level) + brackets[1])
+            + "\n" + " " * (INDENT * level) + brackets[1])
 
 
-def dumps(payload, indent: int = 2) -> str:
-    return _encode(payload, indent, 0)
+def dumps(payload) -> str:
+    return _encode(payload, 0)
 
 
 def dump(payload, path) -> None:

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .eigensolve import Eigenpair
+from .eigensolve import Eigenpair, pair_to_payload
 from .tensors import SymmetricTensor, apply_m2
 
 LAMBDA_FLOOR = 1e-8
@@ -238,8 +238,6 @@ def classify_pair(tensor: SymmetricTensor, pair: Eigenpair) -> StabilityReport:
 
 
 def report_to_payload(report: StabilityReport) -> dict:
-    from .eigensolve import pair_to_payload
-
     return {
         "pair": pair_to_payload(report.pair),
         "k_spectrum": [float(x) for x in report.k_spectrum],

@@ -22,6 +22,8 @@ from . import jsonio
 DEFAULT_DENSE_CAP = 10_000_000
 CAP_ENV_VAR = "SIMPLEX_SPECTRA_CAP"
 UNIT_NORM_TOL = 1e-12
+SYMMETRY_CHECK_SAMPLES = 48
+SYMMETRY_CHECK_PERMS = 24
 
 
 class CapacityError(Exception):
@@ -116,10 +118,6 @@ class SymmetricTensor:
     def is_factored(self) -> bool:
         return self.entries is None
 
-    @property
-    def repr_kind(self) -> str:
-        return "dense" if self.is_dense else "factored"
-
 
 def outer_power(v, order: int, cap: Optional[int] = None) -> SymmetricTensor:
     """Dense m-th outer power v (x) v (x) ... (x) v of a unit vector."""
@@ -155,20 +153,20 @@ def from_rank_one_sum(terms: Iterable[Tuple[float, Sequence[float]]],
     )
 
 
-def _sampled_symmetry_check(entries: np.ndarray, samples: int = 48,
-                            max_perms: int = 24) -> None:
+def _sampled_symmetry_check(entries: np.ndarray) -> None:
     # Full verification is n^m * m! comparisons; sampling keeps load cheap
     # while still catching any honest asymmetry.
     order = entries.ndim
     dim = entries.shape[0]
     rng = np.random.default_rng(12345)
-    for _ in range(samples):
+    for _ in range(SYMMETRY_CHECK_SAMPLES):
         idx = tuple(int(i) for i in rng.integers(0, dim, size=order))
         ref = entries[idx]
         if order <= 4:
             perms = set(itertools.permutations(idx))
         else:
-            perms = {tuple(rng.permutation(idx)) for _ in range(max_perms)}
+            perms = {tuple(rng.permutation(idx))
+                     for _ in range(SYMMETRY_CHECK_PERMS)}
         for p in perms:
             if entries[tuple(int(i) for i in p)] != ref:
                 raise ValueError(
@@ -176,8 +174,7 @@ def _sampled_symmetry_check(entries: np.ndarray, samples: int = 48,
                 )
 
 
-def from_dense(entries, validate: bool = True,
-               cap: Optional[int] = None) -> SymmetricTensor:
+def from_dense(entries, cap: Optional[int] = None) -> SymmetricTensor:
     """Dense tensor from an ndarray-like; symmetry is spot-checked by sampling."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim < 2:
@@ -185,8 +182,7 @@ def from_dense(entries, validate: bool = True,
     if len(set(arr.shape)) != 1:
         raise ValueError(f"dense tensor axes must agree, got shape {arr.shape}")
     _check_capacity(arr.shape[0], arr.ndim, cap)
-    if validate:
-        _sampled_symmetry_check(arr)
+    _sampled_symmetry_check(arr)
     return SymmetricTensor(order=arr.ndim, dim=arr.shape[0], entries=arr)
 
 

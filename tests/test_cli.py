@@ -104,6 +104,21 @@ def test_eig_solve_pipeline(tmp_path):
     assert all(r["robust"] == "robust" for r in reports)
 
 
+def test_eig_classify_rejects_pairs_solved_on_another_tensor(tmp_path, capsys):
+    t4, t5 = tmp_path / "t4.json", tmp_path / "t5.json"
+    pairs_path = tmp_path / "p.json"
+    reports_path = tmp_path / "r.json"
+    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", str(t4))
+    run_cli("tensor", "build", "--n", "3", "--m", "5", "--out", str(t5))
+    run_cli("eig", "solve", "--tensor", str(t4), "--starts", "20",
+            "--out", str(pairs_path))
+    capsys.readouterr()
+    assert run_cli("eig", "classify", "--tensor", str(t5),
+                   "--pairs", str(pairs_path), "--out", str(reports_path)) == 1
+    assert "different tensor" in capsys.readouterr().err
+    assert not reports_path.exists()
+
+
 def test_eig_enumerate2d_pipeline(tmp_path):
     tensor_path = tmp_path / "t.json"
     pairs_path = tmp_path / "p.json"

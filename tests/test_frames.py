@@ -46,17 +46,6 @@ def test_simplex_frame_identities(n):
     npt.assert_allclose(w.sum(axis=1), np.zeros(n), atol=1e-12)
 
 
-def test_frame_rejects_false_metadata_claims():
-    w = np.eye(2)
-    with pytest.raises(ValueError):
-        Frame(dim=2, count=2, vectors=w, coherence=0.5)
-    with pytest.raises(ValueError):
-        Frame(dim=2, count=2, vectors=w, tight_constant=2.0)
-    bad_units = np.array([[2.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        Frame(dim=2, count=2, vectors=bad_units, coherence=0.0)
-
-
 def test_frame_without_claims_accepts_arbitrary_columns():
     w = np.array([[2.0, 0.0], [0.0, 0.5]])
     f = Frame(dim=2, count=2, vectors=w)

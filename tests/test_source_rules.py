@@ -1,8 +1,9 @@
 """Static rules over the package source.
 
 Each tolerance constant (a module-level name ending in _TOL or _FLOOR) is
-assigned in one module only, so changing it is a one-line edit; and no module
-depends on the private internals of the stdlib json encoder.
+assigned in one module only, so changing it is a one-line edit; no module
+depends on the private internals of the stdlib json encoder; and every import
+sits at module level, where the dependencies between modules are visible.
 """
 
 import ast
@@ -49,4 +50,15 @@ def test_no_module_uses_json_encoder_internals():
                     and isinstance(node.value, ast.Name) \
                     and node.value.id == "json":
                 offenders.append(name)
+    assert not offenders
+
+
+def test_no_function_level_imports():
+    offenders = []
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders.extend(
+                    f"{name}:{node.lineno}" for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not offenders

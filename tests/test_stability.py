@@ -82,7 +82,7 @@ def test_jacobian_needs_nonzero_lambda():
     t = SymmetricTensor(order=3, dim=2, weights=np.array([1.0]),
                         vectors=np.array([[0.0], [1.0]]))
     pair = make_eigenpair(t, [1.0, 0.0])  # S e1^2 = 0, lambda = 0
-    assert pair.zero_lambda
+    assert pair.lam == 0.0
     with pytest.raises(ValueError):
         jacobian(t, pair)
 
