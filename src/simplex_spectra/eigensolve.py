@@ -12,9 +12,11 @@ cross-check each other:
   sign changes on [0, pi) locate every eigenvector direction.
 
 Sign convention: eigenpairs come in sign classes ((lambda, v) with
-(-1)^m lambda, -v). The canonical representative has lambda >= 0 for odd
-order; for even order the entries of v sum to a positive value (ties broken
-by the first nonzero component).
+(-1)^m lambda, -v). The canonical representative has lambda > 0 for odd
+order when |lambda| exceeds MATCH_LAMBDA_TOL. Otherwise (even order, or an
+odd-order lambda that is zero up to roundoff) the entries of v sum to a
+positive value, ties broken by the first nonzero component; the sign of a
+roundoff-level lambda would otherwise split one class into two.
 """
 
 from __future__ import annotations
@@ -90,21 +92,16 @@ class Eigenpair:
 
 def canonical_sign(lam: float, v: np.ndarray, order: int) -> Tuple[float, np.ndarray]:
     """Canonical representative of the eigenpair sign class (see module doc)."""
-    if order % 2:
-        if lam < 0.0:
-            return -lam, -v
-        if lam > 0.0:
-            return lam, v
-        # lambda exactly zero: fall through to the even-order vector rule
+    odd = order % 2 == 1
+    if odd and abs(lam) > MATCH_LAMBDA_TOL:
+        return (lam, v) if lam > 0.0 else (-lam, -v)
     s = float(np.sum(v))
-    if s > 0.0:
+    if s == 0.0:
+        s = next((float(x) for x in v if x != 0.0), 0.0)
+    if s >= 0.0:
         return lam, v
-    if s < 0.0:
-        return lam, -v
-    for x in v:
-        if x != 0.0:
-            return (lam, v) if x > 0.0 else (lam, -v)
-    return lam, v
+    # an odd order flips lambda with v; 0.0 - lam keeps an exact zero unsigned
+    return (0.0 - lam if odd else lam), -v
 
 
 def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
@@ -273,10 +270,17 @@ class Enumeration2D:
     grid: int
 
 
-def _tangential_residual(tensor: SymmetricTensor, theta: float) -> Tuple[float, float]:
-    v = np.array([math.cos(theta), math.sin(theta)])
-    g = apply_m1(tensor, v)
-    return float(-v[1] * g[0] + v[0] * g[1]), float(np.linalg.norm(g))
+def _tangential_residual(tensor: SymmetricTensor, theta):
+    """g(theta) = v_perp . S v(theta)^{m-1} and S v(theta)^{m-1}, for one
+    angle or, as one batched contraction, for an array of angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    g = apply_m1(tensor, np.array([c, s]))
+    return -s * g[0] + c * g[1], g
+
+
+def _scan_pairs(tensor: SymmetricTensor, thetas) -> List[Eigenpair]:
+    return dedup([make_eigenpair(tensor, np.array([math.cos(t), math.sin(t)]),
+                                 source=SOURCE_SCAN) for t in thetas])
 
 
 def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
@@ -293,39 +297,27 @@ def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
         raise ValueError(f"grid must be at least {MIN_SCAN_GRID}")
     cells = max(int(grid), 8 * tensor.order)
     thetas = np.linspace(0.0, math.pi, cells + 1)
-    gvals = np.empty(cells + 1)
-    scale = 0.0
-    for i, t in enumerate(thetas):
-        gvals[i], gnorm = _tangential_residual(tensor, t)
-        scale = max(scale, gnorm)
+    gvals, g = _tangential_residual(tensor, thetas)
+    scale = float(np.max(np.linalg.norm(g, axis=0)))
     if scale <= 1e-13:
         raise ValueError(
             "S v^{m-1} vanishes identically on the circle: zero tensor"
         )
     if np.max(np.abs(gvals)) <= ISOTROPY_REL_TOL * max(1.0, scale):
         # S restricted to the circle is constant; return spread-out witnesses.
-        reps = [
-            make_eigenpair(tensor,
-                           np.array([math.cos(t), math.sin(t)]),
-                           source=SOURCE_SCAN)
-            for t in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-        ]
-        return Enumeration2D(dedup(reps), True, cells)
+        witnesses = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+        return Enumeration2D(_scan_pairs(tensor, witnesses), True, cells)
     # A residual at the noise floor marks a root sitting on a grid point
     # (frame vectors often do); relying on a sign change there would make the
     # detection depend on the sign of roundoff noise.
-    zero_floor = 1e-13 * float(np.max(np.abs(gvals)))
-    roots: List[float] = [
-        float(thetas[i]) for i in range(cells)  # theta = pi repeats theta = 0
-        if abs(gvals[i]) <= zero_floor
-    ]
-    for i in range(cells):
+    on_grid = np.abs(gvals) <= 1e-13 * float(np.max(np.abs(gvals)))
+    # theta = pi repeats theta = 0; brackets with a root at an end are done
+    roots: List[float] = thetas[:-1][on_grid[:-1]].tolist()
+    brackets = np.flatnonzero(~on_grid[:-1] & ~on_grid[1:]
+                              & (gvals[:-1] * gvals[1:] <= 0.0))
+    for i in brackets:
         a, b = float(thetas[i]), float(thetas[i + 1])
-        ga, gb = float(gvals[i]), float(gvals[i + 1])
-        if abs(ga) <= zero_floor or abs(gb) <= zero_floor:
-            continue  # endpoint roots are already collected
-        if ga * gb > 0.0:
-            continue
+        ga = float(gvals[i])
         while b - a > SCAN_THETA_RESOLUTION:
             mid = 0.5 * (a + b)
             gm, _ = _tangential_residual(tensor, mid)
@@ -337,12 +329,7 @@ def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
             else:
                 a, ga = mid, gm
         roots.append(0.5 * (a + b))
-    pairs = [
-        make_eigenpair(tensor, np.array([math.cos(t), math.sin(t)]),
-                       source=SOURCE_SCAN)
-        for t in roots
-    ]
-    return Enumeration2D(dedup(pairs), False, cells)
+    return Enumeration2D(_scan_pairs(tensor, roots), False, cells)
 
 
 @dataclass(eq=False)

@@ -2,7 +2,10 @@
 
 The three contractions against a vector v are the workhorses for everything
 downstream: S v^m (scalar), S v^{m-1} (vector) and S v^{m-2} (matrix) feed
-eigenpair residuals, the power map, Hessians and power-map Jacobians. The
+eigenpair residuals, the power map, Hessians and power-map Jacobians. Each
+also takes a batch of vectors as the columns of an (n, B) array; the factored
+path carries the batch on the leading axis of x.T . vectors, so one vector
+runs the same expressions, and gives the same bits, as a batch of one. The
 factored form keeps contractions at O(r * n) regardless of order, so dense
 storage (n^m entries, capped) is only ever needed on request.
 """
@@ -36,8 +39,8 @@ def dense_capacity() -> int:
     return int(raw) if raw else DEFAULT_DENSE_CAP
 
 
-def _check_capacity(dim: int, order: int, cap: Optional[int]) -> None:
-    limit = dense_capacity() if cap is None else int(cap)
+def _check_capacity(dim: int, order: int) -> None:
+    limit = dense_capacity()
     if dim ** order > limit:
         raise CapacityError(
             f"dense tensor with {dim}^{order} entries exceeds the cap of {limit}"
@@ -119,12 +122,12 @@ class SymmetricTensor:
         return self.entries is None
 
 
-def outer_power(v, order: int, cap: Optional[int] = None) -> SymmetricTensor:
+def outer_power(v, order: int) -> SymmetricTensor:
     """Dense m-th outer power v (x) v (x) ... (x) v of a unit vector."""
     v = _as_unit_vector(v, "outer-power vector")
     if order < 2:
         raise ValueError("outer power needs order >= 2")
-    _check_capacity(v.size, order, cap)
+    _check_capacity(v.size, order)
     entries = reduce(np.multiply.outer, [v] * order)
     return SymmetricTensor(order=order, dim=v.size, entries=entries)
 
@@ -174,23 +177,23 @@ def _sampled_symmetry_check(entries: np.ndarray) -> None:
                 )
 
 
-def from_dense(entries, cap: Optional[int] = None) -> SymmetricTensor:
+def from_dense(entries) -> SymmetricTensor:
     """Dense tensor from an ndarray-like; symmetry is spot-checked by sampling."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim < 2:
         raise ValueError("dense tensor needs at least 2 axes")
     if len(set(arr.shape)) != 1:
         raise ValueError(f"dense tensor axes must agree, got shape {arr.shape}")
-    _check_capacity(arr.shape[0], arr.ndim, cap)
+    _check_capacity(arr.shape[0], arr.ndim)
     _sampled_symmetry_check(arr)
     return SymmetricTensor(order=arr.ndim, dim=arr.shape[0], entries=arr)
 
 
-def densify(tensor: SymmetricTensor, cap: Optional[int] = None) -> SymmetricTensor:
+def densify(tensor: SymmetricTensor) -> SymmetricTensor:
     """Dense copy of a factored tensor; dense input is returned unchanged."""
     if tensor.is_dense:
         return tensor
-    _check_capacity(tensor.dim, tensor.order, cap)
+    _check_capacity(tensor.dim, tensor.order)
     total = np.zeros((tensor.dim,) * tensor.order)
     for c, w in zip(tensor.weights, tensor.vectors.T):
         total += c * reduce(np.multiply.outer, [w] * tensor.order)
@@ -198,48 +201,56 @@ def densify(tensor: SymmetricTensor, cap: Optional[int] = None) -> SymmetricTens
 
 
 def _check_operand(tensor: SymmetricTensor, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (tensor.dim,):
+    x = np.asarray(v, float)
+    if x.ndim not in (1, 2) or x.shape[0] != tensor.dim:
         raise ValueError(
-            f"vector has shape {v.shape}, tensor expects ({tensor.dim},)"
+            f"operand has shape {x.shape}, tensor expects ({tensor.dim},) "
+            f"or ({tensor.dim}, B)"
         )
-    return v
+    return x
 
 
-def _dense_contract(entries: np.ndarray, v: np.ndarray, times: int):
+def _dense_contract(entries: np.ndarray, x: np.ndarray, times: int):
+    # A batch is contracted one column at a time, results stacked on axis 0.
+    if x.ndim == 2:
+        return np.array([_dense_contract(entries, col, times) for col in x.T])
     out = entries
     for _ in range(times):
-        out = out @ v
+        out = out @ x
     return out
 
 
-def apply_m(tensor: SymmetricTensor, v) -> float:
-    """Full contraction S v^m (a scalar)."""
-    v = _check_operand(tensor, v)
-    if tensor.is_factored:
-        dots = tensor.vectors.T @ v
-        return float(np.dot(tensor.weights, dots ** tensor.order))
-    return float(_dense_contract(tensor.entries, v, tensor.order))
+def apply_m(tensor: SymmetricTensor, v) -> float | np.ndarray:
+    """Full contraction S v^m: a float, or shape (B,) for a batch."""
+    x = _check_operand(tensor, v)
+    if tensor.entries is None:
+        out = np.dot(np.dot(x.T, tensor.vectors) ** tensor.order, tensor.weights)
+    else:
+        out = _dense_contract(tensor.entries, x, tensor.order)
+    return out if x.ndim == 2 else float(out)
 
 
 def apply_m1(tensor: SymmetricTensor, v) -> np.ndarray:
-    """Vector contraction S v^{m-1}."""
-    v = _check_operand(tensor, v)
-    if tensor.is_factored:
-        dots = tensor.vectors.T @ v
-        return tensor.vectors @ (tensor.weights * dots ** (tensor.order - 1))
-    return np.asarray(_dense_contract(tensor.entries, v, tensor.order - 1))
+    """Vector contraction S v^{m-1}: shape (n,), or (n, B) for a batch."""
+    x = _check_operand(tensor, v)
+    if tensor.entries is None:
+        vs = tensor.vectors
+        coef = tensor.weights * np.dot(x.T, vs) ** (tensor.order - 1)
+        return np.dot(vs, coef.T)
+    return _dense_contract(tensor.entries, x, tensor.order - 1).T
 
 
 def apply_m2(tensor: SymmetricTensor, v) -> np.ndarray:
-    """Matrix contraction S v^{m-2}; the result is symmetrized against roundoff."""
-    v = _check_operand(tensor, v)
-    if tensor.is_factored:
-        coef = tensor.weights * (tensor.vectors.T @ v) ** (tensor.order - 2)
-        out = (tensor.vectors * coef) @ tensor.vectors.T
+    """Matrix contraction S v^{m-2}: shape (n, n), or (B, n, n) for a batch.
+    The result is symmetrized against roundoff."""
+    x = _check_operand(tensor, v)
+    if tensor.entries is None:
+        vs = tensor.vectors
+        coef = tensor.weights * np.dot(x.T, vs) ** (tensor.order - 2)
+        out = (vs * coef[..., None, :]) @ vs.T
     else:
-        out = np.asarray(_dense_contract(tensor.entries, v, tensor.order - 2))
-    return 0.5 * (out + out.T)
+        out = _dense_contract(tensor.entries, x, tensor.order - 2)
+    return 0.5 * (out + out.mT)
 
 
 def tensor_to_payload(tensor: SymmetricTensor) -> dict:

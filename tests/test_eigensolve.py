@@ -12,6 +12,7 @@ from simplex_spectra import (
     STATUS_MAX_ITER,
     SymmetricTensor,
     angle_between,
+    apply_m1,
     canonical_sign,
     dedup,
     enumerate_2d,
@@ -24,6 +25,7 @@ from simplex_spectra import (
     simplex_tensor,
     sphere_grid,
 )
+from simplex_spectra import eigensolve
 from simplex_spectra.eigensolve import pairs_from_payload, pairs_to_payload
 from conftest import odeco_tensor, random_factored
 
@@ -190,6 +192,21 @@ def test_enumerate_2d_catches_on_grid_roots_regardless_of_noise_sign():
         assert len(enumerate_2d(t).pairs) == 6
 
 
+def test_enumerate_2d_evaluates_its_grid_in_one_contraction(monkeypatch):
+    shapes = []
+
+    def counted(tensor, v):
+        shapes.append(np.shape(v))
+        return apply_m1(tensor, v)
+
+    monkeypatch.setattr(eigensolve, "apply_m1", counted)
+    res = enumerate_2d(simplex_tensor(2, 5))
+    assert shapes[0] == (2, res.grid + 1)
+    # the rest are bisection steps and residuals, one vector each
+    assert all(shape == (2,) for shape in shapes[1:])
+    assert len(shapes) < res.grid
+
+
 def test_enumerate_2d_rejects_bad_inputs():
     with pytest.raises(ValueError):
         enumerate_2d(simplex_tensor(3, 3))
@@ -257,6 +274,17 @@ def test_canonical_sign_keeps_lambda_for_even_order():
 def test_canonical_sign_breaks_zero_sum_tie_by_first_nonzero():
     lam, v = canonical_sign(1.0, unit([-1.0, 1.0]), 4)
     assert v[0] > 0
+
+
+def test_canonical_sign_treats_roundoff_lambda_as_zero_for_odd_order():
+    # v and -v of one lambda = 0 class must not split on the sign of noise
+    v = unit([-2.0, 1.0, 0.5])
+    for lam in (1e-17, -1e-17):
+        lam_a, a = canonical_sign(lam, v, 3)
+        lam_b, b = canonical_sign(-lam, -v, 3)
+        npt.assert_array_equal(a, b)
+        assert lam_a == lam_b
+        assert a.sum() > 0
 
 
 def test_make_eigenpair_canonicalizes_and_scores():

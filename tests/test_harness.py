@@ -151,6 +151,14 @@ def test_conjecture_heuristic_path_is_consistent():
     assert all(a <= 1e-6 for a in report.frame_alignment)
 
 
+def test_conjecture_counts_each_zero_eigenvalue_class_once():
+    # n = 3, m = 3 has ((m-1)^n - 1)/(m - 2) = 7 eigenpair classes (the
+    # Cartwright-Sturmfels bound, attained); Newton endpoints near v and -v
+    # of a lambda = 0 direction used to be kept as two classes.
+    report = conjecture_check(3, 3, starts=200, newton_seeds=200, seed=0)
+    assert report.found_pairs == 7
+
+
 def test_conjecture_rejects_out_of_range_cells():
     with pytest.raises(ValueError):
         conjecture_check(5, 3)

@@ -121,14 +121,23 @@ def test_from_dense_flags_asymmetric_entries():
 ], ids=["simplex23", "simplex34", "odeco33", "random34"])
 def test_contractions_match_brute_force(tensor):
     rng = np.random.default_rng(2024)
-    for _ in range(5):
-        v = unit(rng.standard_normal(tensor.dim))
+    batch = rng.standard_normal((tensor.dim, 5))
+    batch /= np.linalg.norm(batch, axis=0)
+    s, g, h = apply_m(tensor, batch), apply_m1(tensor, batch), apply_m2(
+        tensor, batch)
+    assert s.shape == (5,)
+    assert g.shape == (tensor.dim, 5)
+    assert h.shape == (5, tensor.dim, tensor.dim)
+    for j, v in enumerate(batch.T):
         npt.assert_allclose(apply_m(tensor, v), brute_apply_m(tensor, v),
                             atol=1e-12)
         npt.assert_allclose(apply_m1(tensor, v), brute_apply_m1(tensor, v),
                             atol=1e-12)
         npt.assert_allclose(apply_m2(tensor, v), brute_apply_m2(tensor, v),
                             atol=1e-12)
+        npt.assert_allclose(s[j], brute_apply_m(tensor, v), atol=1e-12)
+        npt.assert_allclose(g[:, j], brute_apply_m1(tensor, v), atol=1e-12)
+        npt.assert_allclose(h[j], brute_apply_m2(tensor, v), atol=1e-12)
 
 
 def test_dense_and_factored_contractions_agree():
@@ -136,10 +145,33 @@ def test_dense_and_factored_contractions_agree():
     for seed in range(10):
         t = random_factored(3, 4, r=3, seed=seed)
         d = densify(t)
-        v = unit(rng.standard_normal(3))
+        batch = rng.standard_normal((3, 4))
+        batch /= np.linalg.norm(batch, axis=0)
+        v = batch[:, 0]
         npt.assert_allclose(apply_m(t, v), apply_m(d, v), atol=1e-12)
         npt.assert_allclose(apply_m1(t, v), apply_m1(d, v), atol=1e-12)
         npt.assert_allclose(apply_m2(t, v), apply_m2(d, v), atol=1e-12)
+        for f, shape in ((apply_m, (4,)), (apply_m1, (3, 4)),
+                         (apply_m2, (4, 3, 3))):
+            assert f(t, batch).shape == f(d, batch).shape == shape
+            npt.assert_allclose(f(t, batch), f(d, batch), atol=1e-12)
+        # a batch of one gives the single-vector result to the bit
+        one = v[:, None]
+        for tensor in (t, d):
+            assert np.array_equal(apply_m(tensor, one), [apply_m(tensor, v)])
+            assert np.array_equal(apply_m1(tensor, one)[:, 0],
+                                  apply_m1(tensor, v))
+            assert np.array_equal(apply_m2(tensor, one)[0],
+                                  apply_m2(tensor, v))
+
+
+def test_contractions_reject_operands_of_the_wrong_shape():
+    for tensor in (simplex_tensor(3, 4), densify(simplex_tensor(3, 4))):
+        for bad in (np.float64(1.0), np.ones((3, 2, 2)), np.ones(4),
+                    np.ones((2, 5))):
+            for f in (apply_m, apply_m1, apply_m2):
+                with pytest.raises(ValueError):
+                    f(tensor, bad)
 
 
 def test_contraction_chain_is_consistent():
@@ -202,12 +234,6 @@ def test_capacity_env_override(monkeypatch):
         outer_power(unit([1.0, 1.0]), 4)  # 16 > 10
     monkeypatch.delenv("SIMPLEX_SPECTRA_CAP")
     assert dense_capacity() == 10_000_000
-
-
-def test_explicit_cap_argument_wins():
-    outer_power(unit([1.0, 1.0]), 4, cap=16)
-    with pytest.raises(CapacityError):
-        outer_power(unit([1.0, 1.0]), 4, cap=15)
 
 
 # ---------------------------------------------------------------- round trips
