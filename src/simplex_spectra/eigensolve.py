@@ -70,6 +70,13 @@ class RefinementError(RuntimeError):
         self.residual = residual
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float array: the ravel and dot that
+    np.linalg.norm runs, so the same bits, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
     """A canonicalized Z-eigenpair with its KKT residual and provenance."""
@@ -84,7 +91,7 @@ class Eigenpair:
         v = np.array(self.v, dtype=float, copy=True)
         if v.ndim != 1:
             raise ValueError("eigenvector must be 1-d")
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+        if abs(_norm(v) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("eigenvector must have unit norm")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -108,13 +115,13 @@ def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
                    source: str = SOURCE_CLOSED) -> Eigenpair:
     """Normalize v, evaluate lambda = S v^m, canonicalize, record the residual."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     if norm == 0.0:
         raise ValueError("cannot build an eigenpair from the zero vector")
     v = v / norm
     lam = apply_m(tensor, v)
     lam, v = canonical_sign(lam, v, tensor.order)
-    residual = float(np.linalg.norm(apply_m1(tensor, v) - lam * v))
+    residual = _norm(apply_m1(tensor, v) - lam * v)
     return Eigenpair(lam=float(lam), v=v, kkt_residual=residual,
                      iterations=iterations, source=source)
 
@@ -123,17 +130,17 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
     """Angle between unit vectors. Near 0 and pi the arccos of the dot
     product cannot resolve below ~1.5e-8, so use the chord length instead."""
     if float(np.dot(a, b)) >= 0.0:
-        return 2.0 * math.asin(min(1.0, 0.5 * float(np.linalg.norm(a - b))))
-    return math.pi - 2.0 * math.asin(min(1.0, 0.5 * float(np.linalg.norm(a + b))))
+        return 2.0 * math.asin(min(1.0, 0.5 * _norm(a - b)))
+    return math.pi - 2.0 * math.asin(min(1.0, 0.5 * _norm(a + b)))
 
 
 def power_step(tensor: SymmetricTensor, v) -> np.ndarray:
     """One step of the normalized power map v -> S v^{m-1} / |S v^{m-1}|."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+    if abs(_norm(v) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("power step expects a unit vector")
     g = apply_m1(tensor, v)
-    norm = np.linalg.norm(g)
+    norm = _norm(g)
     if norm <= DEGENERATE_CONTRACTION_TOL:
         raise DegeneratePointError(
             "S v^{m-1} vanished; v is a lambda = 0 direction or near one"
@@ -169,18 +176,19 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     if max_iter < 1:
         raise ValueError("power method needs max_iter >= 1")
     cur = np.asarray(v0, dtype=float)
-    norm = np.linalg.norm(cur)
+    norm = _norm(cur)
     if norm == 0.0:
         raise ValueError("starting vector must be nonzero")
     cur = cur / norm
     prev: Optional[np.ndarray] = None
     for k in range(max_iter):
         nxt = power_step(tensor, cur)
-        if np.linalg.norm(nxt - cur) <= tol:
+        moved = _norm(nxt - cur)
+        if moved <= tol:
             pair = make_eigenpair(tensor, nxt, iterations=k, source=SOURCE_POWER)
             return PowerResult(STATUS_CONVERGED, pair, k, nxt)
-        if prev is not None and np.linalg.norm(nxt - prev) <= tol \
-                and np.linalg.norm(nxt - cur) > CYCLE_SEPARATION:
+        if prev is not None and moved > CYCLE_SEPARATION \
+                and _norm(nxt - prev) <= tol:
             return PowerResult(STATUS_CYCLING, None, k, nxt)
         prev = cur
         cur = nxt
@@ -198,26 +206,29 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
     """
     n, m = tensor.dim, tensor.order
     v = np.asarray(v0, dtype=float)
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     if norm == 0.0:
         raise ValueError("starting vector must be nonzero")
     v = v / norm
+    norm = _norm(v)
     lam = apply_m(tensor, v)
     best: Optional[float] = None
+    # every entry but the zero corner is rewritten before each solve
+    bordered = np.zeros((n + 1, n + 1))
+    rhs = np.empty(n + 1)
+    eye = np.eye(n)
     for k in range(max_iter + 1):
-        vn = v / np.linalg.norm(v)
+        vn = v / norm
         lam_n = apply_m(tensor, vn)
-        residual = float(np.linalg.norm(apply_m1(tensor, vn) - lam_n * vn))
+        residual = _norm(apply_m1(tensor, vn) - lam_n * vn)
         if residual <= ACCEPT_TOL:
             return make_eigenpair(tensor, vn, iterations=k, source=SOURCE_NEWTON)
         best = residual if best is None else min(best, residual)
         if k == max_iter:
             break
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * np.eye(n)
+        bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * eye
         bordered[:n, n] = -v
         bordered[n, :n] = 2.0 * v
-        rhs = np.empty(n + 1)
         rhs[:n] = apply_m1(tensor, v) - lam * v
         rhs[n] = float(v @ v) - 1.0
         try:
@@ -226,22 +237,42 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
             raise RefinementError(
                 f"singular linearization after {k} steps", residual=best
             ) from exc
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise RefinementError(
                 f"non-finite Newton step after {k} steps", residual=best
             )
         v = v + step[:n]
         lam = lam + float(step[n])
-        if np.linalg.norm(v) == 0.0:
+        norm = _norm(v)
+        if norm == 0.0:
             raise RefinementError("iterate collapsed to zero", residual=best)
     raise RefinementError(
         f"no convergence within {max_iter} Newton steps", residual=best
     )
 
 
-def _same_pair(p: Eigenpair, r: Eigenpair) -> bool:
-    return (abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL
-            and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
+def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
+                 vs: np.ndarray) -> int:
+    """Index of the first of ``reps`` that p matches, or -1. Two pairs match
+    when their eigenvalues differ by at most MATCH_LAMBDA_TOL and
+    angle_between their eigenvectors is at most MATCH_ANGLE_TOL.
+
+    ``vs`` holds the eigenvectors of ``reps`` as rows, and one vectorized
+    chord per row screens them. That chord sums in another order than the
+    dot product under angle_between, so it can differ in the last bit: rows
+    beyond twice the chord the angle rule allows cannot match, rows within
+    half of it match if their eigenvalue does, and angle_between decides
+    the rows in between.
+    """
+    d = vs - p.v
+    chord2 = np.vecdot(d, d)
+    for j in (chord2 <= (2.0 * MATCH_ANGLE_TOL) ** 2).nonzero()[0]:
+        r = reps[j]
+        if abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL \
+                and (chord2[j] <= (0.5 * MATCH_ANGLE_TOL) ** 2
+                     or angle_between(p.v, r.v) <= MATCH_ANGLE_TOL):
+            return int(j)
+    return -1
 
 
 def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
@@ -251,12 +282,29 @@ def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
     ordered = sorted(
         pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v))
     )
+    vs = np.array([p.v for p in ordered])
     reps: List[Eigenpair] = []
-    for p in ordered:
-        if not any(_same_pair(p, r) for r in reps):
+    for i, p in enumerate(ordered):
+        r = len(reps)
+        if _first_match(p, reps, vs[:r]) < 0:
+            # rows below r hold the representatives; r <= i, so this
+            # overwrites no row still to be read
+            vs[r] = vs[i]
             reps.append(p)
     reps.sort(key=lambda p: (-p.lam, tuple(p.v)))
     return reps
+
+
+def _basin_counts(pairs: Sequence[Eigenpair],
+                  converged: Sequence[Eigenpair]) -> List[int]:
+    """How many of ``converged`` first match each of ``pairs``."""
+    vs = np.array([p.v for p in pairs])
+    counts = [0] * len(pairs)
+    for p in converged:
+        j = _first_match(p, pairs, vs)
+        if j >= 0:
+            counts[j] += 1
+    return counts
 
 
 @dataclass(eq=False)
@@ -337,7 +385,8 @@ class SolveSummary:
     """Multi-start outcome. ``basin_counts[i]`` tallies the starts whose power
     iteration converged to ``pairs[i]``; pairs recovered only by Newton rescue
     from a non-converged trajectory carry a count of zero. ``failures`` counts
-    starts whose power iteration did not converge (rescued or not)."""
+    the starts whose power iteration did not converge (rescued or not) plus
+    the converged starts whose Newton polish failed."""
 
     pairs: List[Eigenpair]
     basin_counts: List[int]
@@ -362,9 +411,9 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
     for i in range(starts):
         rng = np.random.default_rng([seed, i])
         d = rng.standard_normal(tensor.dim)
-        while np.linalg.norm(d) < 1e-12:
+        while _norm(d) < 1e-12:
             d = rng.standard_normal(tensor.dim)
-        d /= np.linalg.norm(d)
+        d /= _norm(d)
         try:
             run = power_method(tensor, d, tol=tol, max_iter=max_iter)
         except DegeneratePointError:
@@ -382,13 +431,8 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
             except RefinementError:
                 pass
     pairs = dedup(converged + rescued)
-    counts = [0] * len(pairs)
-    for p in converged:
-        for j, r in enumerate(pairs):
-            if _same_pair(p, r):
-                counts[j] += 1
-                break
-    return SolveSummary(pairs, counts, failures, starts)
+    return SolveSummary(pairs, _basin_counts(pairs, converged), failures,
+                        starts)
 
 
 def _generalized_golden(dim: int) -> float:
@@ -431,7 +475,7 @@ def sphere_grid(dim: int, count: int) -> List[np.ndarray]:
     for k in range(count):
         u = np.clip((0.5 + (k + 1) * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
         x = np.array([quantile(ui) for ui in u])
-        norm = np.linalg.norm(x)
+        norm = _norm(x)
         if norm > 1e-12:
             points.append(x / norm)
     return points

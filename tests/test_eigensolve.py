@@ -15,6 +15,7 @@ from simplex_spectra import (
     apply_m1,
     canonical_sign,
     dedup,
+    densify,
     enumerate_2d,
     make_eigenpair,
     multi_start,
@@ -26,13 +27,26 @@ from simplex_spectra import (
     sphere_grid,
 )
 from simplex_spectra import eigensolve
-from simplex_spectra.eigensolve import pairs_from_payload, pairs_to_payload
+from simplex_spectra.eigensolve import (MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
+                                        pairs_from_payload, pairs_to_payload)
 from conftest import odeco_tensor, random_factored
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def test_norm_equals_numpy_norm_exactly():
+    # _norm stands in for np.linalg.norm on every 1-d norm of the solver, so
+    # its bits must be numpy's, for contiguous vectors and strided views
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        x = rng.standard_normal(int(rng.integers(1, 9)))
+        x *= 10.0 ** rng.uniform(-5.0, 5.0)
+        assert eigensolve._norm(x) == np.linalg.norm(x)
+        column = np.outer(x, [1.0, 3.0])[:, 1]
+        assert eigensolve._norm(column) == np.linalg.norm(column)
 
 
 # ---------------------------------------------------------------- power map
@@ -141,6 +155,26 @@ def test_newton_refine_raises_with_best_residual_on_budget_exhaustion():
     with pytest.raises(RefinementError) as err:
         newton_refine(t, unit([np.cos(1.0), np.sin(1.0)]), max_iter=0)
     assert err.value.residual > 1e-10
+
+
+def test_newton_refine_agrees_on_dense_and_factored_storage():
+    t = random_factored(3, 4, r=5, seed=21)
+    dense = densify(t)
+    rng = np.random.default_rng(8)
+    steps = 0
+    for p in dedup([newton_refine(t, v0) for v0 in sphere_grid(3, 30)]):
+        v0 = unit(p.v + 1e-2 * rng.standard_normal(3))
+        a = newton_refine(t, v0)
+        b = newton_refine(dense, v0)
+        assert a.iterations == b.iterations > 0
+        assert abs(a.lam - b.lam) <= 1e-12
+        npt.assert_allclose(a.v, b.v, rtol=0, atol=1e-12)
+        # the bordered system is reused within a call, never across calls
+        again = newton_refine(t, v0)
+        assert again.iterations == a.iterations and again.lam == a.lam
+        npt.assert_array_equal(again.v, a.v)
+        steps += a.iterations
+    assert steps > 0
 
 
 # ---------------------------------------------------------------- enumeration
@@ -254,6 +288,73 @@ def test_dedup_separates_distinct_classes():
 def test_dedup_orders_by_descending_eigenvalue():
     reps = dedup([_pair(0.1, [0.0, 1.0], 0.0), _pair(2.0, [1.0, 0.0], 0.0)])
     assert [p.lam for p in reps] == [2.0, 0.1]
+
+
+def _reference_same(p, r):
+    return (abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL
+            and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
+
+
+def _reference_dedup(pairs):
+    ordered = sorted(pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v)))
+    reps = []
+    for p in ordered:
+        if not any(_reference_same(p, r) for r in reps):
+            reps.append(p)
+    reps.sort(key=lambda p: (-p.lam, tuple(p.v)))
+    return reps
+
+
+def _reference_basin_counts(pairs, converged):
+    counts = [0] * len(pairs)
+    for p in converged:
+        for j, r in enumerate(pairs):
+            if _reference_same(p, r):
+                counts[j] += 1
+                break
+    return counts
+
+
+def _family_inventory():
+    """Pairs at one eigenvalue along a great circle, like the non-isolated
+    (4,6) family, with duplicates near every edge of the matching rule."""
+    rng = np.random.default_rng(17)
+    u = unit([1.0, 2.0, -1.0, 0.5])
+    w = unit([2.0, -1.0, 0.5, 1.0] - np.dot([2.0, -1.0, 0.5, 1.0], u) * u)
+    lam = 125.0 / 1024.0
+    pairs = []
+
+    def add(theta, sign=1.0, dlam=0.0):
+        v = sign * (math.cos(theta) * u + math.sin(theta) * w)
+        pairs.append(Eigenpair(lam + dlam, v, rng.uniform(0.0, 1e-10)))
+
+    for k in range(320):
+        add(0.01 * k)
+    for k in range(0, 320, 7):
+        add(0.01 * k + 5e-9)  # below arccos resolution
+    for k in range(3, 320, 11):
+        add(0.01 * k + 0.999999 * MATCH_ANGLE_TOL)
+        add(0.01 * k + 1.000001 * MATCH_ANGLE_TOL)
+    for k in range(5, 320, 13):
+        add(0.01 * k + 5e-9, sign=-1.0)  # near-antipodal: dot < 0
+    for k in range(1, 320, 17):
+        for f in (0.5, 0.999, 1.001, 2.0):
+            add(0.01 * k, dlam=f * MATCH_LAMBDA_TOL)
+    return pairs
+
+
+def test_dedup_and_basin_counts_agree_with_a_pairwise_scan():
+    pairs = _family_inventory()
+    expected = _reference_dedup(pairs)
+    assert 320 < len(expected) < len(pairs)
+    for inventory in ([], pairs[:1], pairs):
+        expected = _reference_dedup(inventory)
+        reps = dedup(inventory)
+        assert len(reps) == len(expected)
+        assert all(a is b for a, b in zip(reps, expected))
+        counts = eigensolve._basin_counts(reps, inventory)
+        assert counts == _reference_basin_counts(expected, inventory)
+        assert sum(counts) == len(inventory)
 
 
 # ---------------------------------------------------------------- sign rules

@@ -2,8 +2,10 @@
 
 Each tolerance constant (a module-level name ending in _TOL or _FLOOR) is
 assigned in one module only, so changing it is a one-line edit; no module
-depends on the private internals of the stdlib json encoder; and every import
-sits at module level, where the dependencies between modules are visible.
+depends on the private internals of the stdlib json encoder; every import
+sits at module level, where the dependencies between modules are visible; and
+the solver takes the norm of a single vector with its own _norm, because the
+dispatch of np.linalg.norm costs more than the norm of a short vector.
 """
 
 import ast
@@ -61,4 +63,16 @@ def test_no_function_level_imports():
                 offenders.extend(
                     f"{name}:{node.lineno}" for node in ast.walk(func)
                     if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not offenders
+
+
+def test_eigensolve_calls_numpy_norm_only_along_an_axis():
+    tree = _modules()["eigensolve.py"]
+    offenders = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "norm"
+        and ast.unparse(node.func.value).endswith("linalg")
+        and not any(k.arg == "axis" for k in node.keywords)
+    ]
     assert not offenders
