@@ -237,9 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="robust eigenpairs == frame vectors check")
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--m", type=int, required=True)
-    p_conj.add_argument("--starts", type=int, default=2000)
-    p_conj.add_argument("--seed", type=int, default=0)
-    p_conj.add_argument("--grid", type=int, default=720)
+    p_conj.add_argument("--starts", type=int, default=2000,
+                        help="power-iteration starts (n >= 3 only)")
+    p_conj.add_argument("--seed", type=int, default=0,
+                        help="seed of the random starts (n >= 3 only)")
+    p_conj.add_argument("--grid", type=int, default=720,
+                        help="angle-scan grid size (n = 2 only)")
     p_conj.add_argument("--out", required=True)
     p_conj.add_argument("--no-timestamp", action="store_true")
     p_conj.set_defaults(handler=_cmd_conjecture)

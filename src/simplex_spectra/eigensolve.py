@@ -15,8 +15,9 @@ Sign convention: eigenpairs come in sign classes ((lambda, v) with
 (-1)^m lambda, -v). The canonical representative has lambda > 0 for odd
 order when |lambda| exceeds MATCH_LAMBDA_TOL. Otherwise (even order, or an
 odd-order lambda that is zero up to roundoff) the entries of v sum to a
-positive value, ties broken by the first nonzero component; the sign of a
-roundoff-level lambda would otherwise split one class into two.
+positive value. A sum within MATCH_ANGLE_TOL of zero is a tie, broken by the
+first component larger than MATCH_ANGLE_TOL in magnitude. The sign of a
+roundoff-level lambda or sum would otherwise split one class into two.
 """
 
 from __future__ import annotations
@@ -88,10 +89,13 @@ class Eigenpair:
     source: str = SOURCE_CLOSED
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.kkt_residual)):
+            raise ValueError("eigenvalue and residual must be finite")
         v = np.array(self.v, dtype=float, copy=True)
         if v.ndim != 1:
             raise ValueError("eigenvector must be 1-d")
-        if abs(_norm(v) - 1.0) > UNIT_NORM_TOL:
+        # negated so that a NaN norm, from a NaN or infinite entry, fails too
+        if not abs(_norm(v) - 1.0) <= UNIT_NORM_TOL:
             raise ValueError("eigenvector must have unit norm")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -103,8 +107,8 @@ def canonical_sign(lam: float, v: np.ndarray, order: int) -> Tuple[float, np.nda
     if odd and abs(lam) > MATCH_LAMBDA_TOL:
         return (lam, v) if lam > 0.0 else (-lam, -v)
     s = float(np.sum(v))
-    if s == 0.0:
-        s = next((float(x) for x in v if x != 0.0), 0.0)
+    if abs(s) <= MATCH_ANGLE_TOL:
+        s = next((float(x) for x in v if abs(x) > MATCH_ANGLE_TOL), 0.0)
     if s >= 0.0:
         return lam, v
     # an odd order flips lambda with v; 0.0 - lam keeps an exact zero unsigned
@@ -171,8 +175,8 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     cycle: a contraction with a negative Jacobian eigenvalue alternates on
     its way in, and that trajectory is allowed to run to convergence.
     """
-    if tol <= 0:
-        raise ValueError("power method tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("power method tolerance must be positive and finite")
     if max_iter < 1:
         raise ValueError("power method needs max_iter >= 1")
     cur = np.asarray(v0, dtype=float)

@@ -8,6 +8,7 @@ inner product equal to -1/n. It is an equiangular tight frame: W W^T is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,8 +24,8 @@ FRAME_GRAM_TOL = 1e-10
 class Frame:
     """A finite set of vectors in R^dim, stored as the columns of ``vectors``.
 
-    Only the shape is checked here, so hand-built frames may carry arbitrary
-    columns; certify() checks the frame conditions.
+    Only the shape and finiteness are checked here, so hand-built frames may
+    carry arbitrary columns; certify() checks the frame conditions.
     """
 
     dim: int
@@ -42,6 +43,8 @@ class Frame:
                 f"frame vectors must have shape ({self.dim}, {self.count}), "
                 f"got {vecs.shape}"
             )
+        if not np.all(np.isfinite(vecs)):
+            raise ValueError("frame vectors must be finite")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
@@ -102,8 +105,8 @@ def certify(frame: Frame, tol: float = 1e-10) -> CertificationReport:
     off-diagonal absolute values against their mean) and on W W^T against
     (trace/dim) I; ``max_violation`` is the largest of them all.
     """
-    if tol <= 0:
-        raise ValueError("certification tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("certification tolerance must be positive and finite")
     if frame.count < 1:
         raise ValueError("cannot certify an empty frame")
     w = frame.vectors

@@ -50,5 +50,12 @@ def dump(payload, path) -> None:
     Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite value in JSON file: {name}")
+
+
 def load(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file, rejecting the NaN and Infinity constants that the
+    stock decoder accepts and that no payload of the package contains."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)

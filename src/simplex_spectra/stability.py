@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .tensors import SymmetricTensor, apply_m2
 LAMBDA_FLOOR = 1e-8
 STATIONARITY_TOL = 1e-8
 ROBUSTNESS_TOL = 1e-9
-SYMMETRY_TOL = 1e-10
 V_MODE_OVERLAP = 0.9
 
 STAT_LOCAL_MAX = "local_max"
@@ -42,45 +41,24 @@ ROB_BOUNDARY = "boundary"
 ROB_UNDEFINED = "undefined"
 
 
-def hessian(tensor: SymmetricTensor, pair: Eigenpair) -> np.ndarray:
-    """Unprojected second-order matrix (m-1) S v^{m-2} - lambda I."""
-    return (tensor.order - 1) * apply_m2(tensor, pair.v) \
-        - pair.lam * np.eye(tensor.dim)
+def second_order(tensor: SymmetricTensor, pair: Eigenpair
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """K and J at one eigenpair, both from a single contraction S v^{m-2}.
 
-
-def projected_hessian(tensor: SymmetricTensor, pair: Eigenpair) -> np.ndarray:
-    """K = P H P restricted to the tangent space of the sphere at v."""
-    p = np.eye(tensor.dim) - np.outer(pair.v, pair.v)
-    k = p @ hessian(tensor, pair) @ p
-    return 0.5 * (k + k.T)
-
-
-def jacobian(tensor: SymmetricTensor, pair: Eigenpair) -> np.ndarray:
-    """Power-map Jacobian J = ((m-1)/lambda) (S v^{m-2} - lambda v v^T)."""
-    if abs(pair.lam) <= LAMBDA_FLOOR:
-        raise ValueError(
-            "power-map Jacobian is undefined for eigenvalues at or below "
-            f"the floor {LAMBDA_FLOOR}"
-        )
-    j = ((tensor.order - 1) / pair.lam) * (
-        apply_m2(tensor, pair.v) - pair.lam * np.outer(pair.v, pair.v)
-    )
-    return 0.5 * (j + j.T)
-
-
-def sym_eigen(matrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Rejects input whose asymmetry exceeds ``SYMMETRY_TOL`` instead of silently
-    symmetrizing a matrix that was never symmetric to begin with.
+    K = P ((m-1) S v^{m-2} - lambda I) P with P = I - v v^T, symmetrized
+    against the roundoff of the two products. J = ((m-1)/lambda)
+    (S v^{m-2} - lambda v v^T) is already exactly symmetric, since
+    apply_m2 and the outer product are; it is None when |lambda| is at or
+    below LAMBDA_FLOOR, where the power map has no Jacobian.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
-    return values, vectors
+    s = apply_m2(tensor, pair.v)
+    vv = np.outer(pair.v, pair.v)
+    p = np.eye(tensor.dim) - vv
+    k = p @ ((tensor.order - 1) * s - pair.lam * np.eye(tensor.dim)) @ p
+    k = 0.5 * (k + k.T)
+    if abs(pair.lam) <= LAMBDA_FLOOR:
+        return k, None
+    return k, ((tensor.order - 1) / pair.lam) * (s - pair.lam * vv)
 
 
 def _drop_forced_zero(spectrum: np.ndarray, vectors: np.ndarray,
@@ -143,13 +121,13 @@ def lemma_bridge_residual(tensor: SymmetricTensor, pair: Eigenpair) -> float:
     """Frobenius residual of lambda J = K + lambda (I - v v^T).
 
     The identity couples the two classification matrices; on a true eigenpair
-    it holds to roundoff, so the residual doubles as a consistency check of
-    the contraction plumbing.
+    it holds to roundoff. second_order builds K and J by separate formulas
+    from one contraction, so the residual checks those formulas against
+    each other.
     """
-    if abs(pair.lam) <= LAMBDA_FLOOR:
+    k, j = second_order(tensor, pair)
+    if j is None:
         raise ValueError("bridge identity needs |lambda| above the floor")
-    j = jacobian(tensor, pair)
-    k = projected_hessian(tensor, pair)
     p = np.eye(tensor.dim) - np.outer(pair.v, pair.v)
     return float(np.linalg.norm(pair.lam * j - k - pair.lam * p, ord="fro"))
 
@@ -163,8 +141,6 @@ class ClosedFormReport:
     lam: Fraction
     j_nonzero_eig: Fraction
     rho: Fraction
-    robust_predicted: bool
-    in_valid_regime: bool
 
 
 def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
@@ -175,7 +151,7 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
     rho = (n+1)(m-1) / (n^{m-1} - 1) for odd m and
     rho = (n+1)(m-1) / (n^{m-1} + 1) for even m. Exact rationals make the
     rho = 1 boundary decision unambiguous. n = 1 is admitted for even m only
-    (odd m degenerates: the frame tensor vanishes) and flagged out of regime.
+    (odd m degenerates: the frame tensor vanishes).
     """
     if n < 1:
         raise ValueError("frame prediction needs n >= 1")
@@ -196,8 +172,6 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
         lam=lam,
         j_nonzero_eig=j_nonzero,
         rho=rho,
-        robust_predicted=bool(rho < 1),
-        in_valid_regime=bool(n >= 2),
     )
 
 
@@ -225,13 +199,13 @@ class StabilityReport:
 
 def classify_pair(tensor: SymmetricTensor, pair: Eigenpair) -> StabilityReport:
     """Run both classifiers on one eigenpair and collect the evidence."""
-    k = projected_hessian(tensor, pair)
-    k_values, k_vectors = sym_eigen(k)
+    k, j = second_order(tensor, pair)
+    k_values, k_vectors = np.linalg.eigh(k)
     stationarity = classify_stationarity(k_values, k_vectors, pair.v)
-    if abs(pair.lam) <= LAMBDA_FLOOR:
+    if j is None:
         return StabilityReport(pair, k_values, None, None,
                                stationarity, ROB_UNDEFINED)
-    j_values, _ = sym_eigen(jacobian(tensor, pair))
+    j_values, _ = np.linalg.eigh(j)
     rho = float(np.max(np.abs(j_values)))
     robust = classify_robustness(j_values, pair.lam)
     return StabilityReport(pair, k_values, j_values, rho, stationarity, robust)

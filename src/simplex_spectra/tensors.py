@@ -94,6 +94,8 @@ class SymmetricTensor:
                     f"dense entries must have shape {(self.dim,) * self.order}, "
                     f"got {arr.shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("dense entries must be finite")
             object.__setattr__(self, "entries", arr)
         else:
             if self.weights is None or self.vectors is None:
@@ -107,6 +109,8 @@ class SymmetricTensor:
                     f"factored vectors must have shape ({self.dim}, {w.size}), "
                     f"got {vs.shape}"
                 )
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(vs))):
+                raise ValueError("factored weights and vectors must be finite")
             norms = np.linalg.norm(vs, axis=0)
             if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
                 raise ValueError("every factored vector must have unit norm")

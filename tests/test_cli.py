@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from simplex_spectra import cli
 from simplex_spectra.cli import main, parse_int_set
 
 
@@ -116,6 +117,59 @@ def test_eig_classify_rejects_pairs_solved_on_another_tensor(tmp_path, capsys):
     assert run_cli("eig", "classify", "--tensor", str(t5),
                    "--pairs", str(pairs_path), "--out", str(reports_path)) == 1
     assert "different tensor" in capsys.readouterr().err
+    assert not reports_path.exists()
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "1e999"])
+def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
+        tmp_path, capsys, monkeypatch, weight):
+    tensor_path = tmp_path / "t.json"
+    out = tmp_path / "p.json"
+    run_cli("tensor", "build", "--n", "2", "--m", "3", "--out", str(tensor_path))
+    payload = json.loads(tensor_path.read_text())
+    payload["terms"][0]["weight"] = "WEIGHT"
+    tensor_path.write_text(json.dumps(payload).replace('"WEIGHT"', weight))
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran on a non-finite tensor")
+
+    monkeypatch.setattr(cli, "multi_start", search)
+    capsys.readouterr()
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--out", str(out)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_tolerances_exit_one(tmp_path, capsys):
+    frame_path = tmp_path / "f.json"
+    tensor_path = tmp_path / "t.json"
+    out = tmp_path / "p.json"
+    run_cli("frame", "build", "--n", "3", "--out", str(frame_path))
+    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", str(tensor_path))
+    capsys.readouterr()
+    assert run_cli("frame", "certify", "--in", str(frame_path),
+                   "--tol", "nan") == 1
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--starts", "2", "--tol", "nan", "--out", str(out)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eig_classify_rejects_a_non_finite_pair(tmp_path, capsys):
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    reports_path = tmp_path / "r.json"
+    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", str(tensor_path))
+    run_cli("eig", "solve", "--tensor", str(tensor_path), "--starts", "20",
+            "--out", str(pairs_path))
+    payload = json.loads(pairs_path.read_text())
+    payload["pairs"][0]["lambda"] = "LAMBDA"
+    pairs_path.write_text(json.dumps(payload).replace('"LAMBDA"', "1e999"))
+    capsys.readouterr()
+    assert run_cli("eig", "classify", "--tensor", str(tensor_path),
+                   "--pairs", str(pairs_path), "--out", str(reports_path)) == 1
+    assert "finite" in capsys.readouterr().err
     assert not reports_path.exists()
 
 

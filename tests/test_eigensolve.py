@@ -388,6 +388,27 @@ def test_canonical_sign_treats_roundoff_lambda_as_zero_for_odd_order():
         assert a.sum() > 0
 
 
+@pytest.mark.parametrize("n,m,seeds,classes", [
+    (2, 4, 200, 4), (3, 4, 300, 13), (3, 6, 300, 13),
+])
+def test_odeco_sign_classes_do_not_split_at_roundoff_sums(n, m, seeds,
+                                                         classes):
+    # Unit-weight odeco pairs have entries 0 or +-c; (3^n - 1)/2 classes, many
+    # with entries summing to 0, where Newton endpoints of one class sum to
+    # roundoff of either sign.
+    t = odeco_tensor(n, m)
+    endpoints = []
+    for point in sphere_grid(n, seeds):
+        try:
+            endpoints.append(newton_refine(t, point))
+        except RefinementError:
+            continue
+    assert len(dedup(endpoints)) == classes == (3 ** n - 1) // 2
+    for w in ([1.0, -1.0 + 1e-15], [-1.0, 1.0 + 1e-15]):
+        _, v = canonical_sign(1.0, unit(w), m)
+        assert v[0] > 0
+
+
 def test_make_eigenpair_canonicalizes_and_scores():
     t = simplex_tensor(2, 3)
     pair = make_eigenpair(t, [-1.0, 0.0])
@@ -395,6 +416,16 @@ def test_make_eigenpair_canonicalizes_and_scores():
     npt.assert_allclose(pair.lam, 0.75, atol=1e-15)
     npt.assert_allclose(pair.v, [1.0, 0.0], atol=0)
     assert pair.kkt_residual < 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigenpair_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        Eigenpair(lam=bad, v=np.array([1.0, 0.0]), kkt_residual=0.0)
+    with pytest.raises(ValueError):
+        Eigenpair(lam=1.0, v=np.array([1.0, 0.0]), kkt_residual=bad)
+    with pytest.raises(ValueError):
+        Eigenpair(lam=1.0, v=np.array([1.0, bad]), kkt_residual=0.0)
 
 
 def test_angle_between_resolves_tiny_and_obtuse_angles():
@@ -470,6 +501,12 @@ def test_multi_start_agrees_with_exhaustive_enumeration_in_the_plane():
                 for q in scan.pairs
             )
             assert best < 1e-7
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_power_method_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError):
+        power_method(simplex_tensor(2, 3), [1.0, 0.0], tol=tol)
 
 
 def test_multi_start_requires_a_start():

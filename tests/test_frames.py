@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -53,6 +55,12 @@ def test_frame_without_claims_accepts_arbitrary_columns():
     assert not report.unit_norms
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_frame_rejects_non_finite_columns(bad):
+    with pytest.raises(ValueError):
+        Frame(dim=2, count=2, vectors=np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 # ---------------------------------------------------------------- certification
 
 
@@ -90,8 +98,9 @@ def test_certify_is_rotation_invariant():
 
 
 def test_certify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        certify(orthonormal_frame(2), tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            certify(orthonormal_frame(2), tol=tol)
 
 
 # ---------------------------------------------------------------- frame tensors

@@ -41,3 +41,11 @@ def test_dumps_layout_is_pinned():
 def test_dumps_rejects_non_finite_floats(value):
     with pytest.raises(ValueError):
         jsonio.dumps({"rows": [value]})
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_constants(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text('{"rows": [1.0, ' + text + ']}')
+    with pytest.raises(ValueError):
+        jsonio.load(path)

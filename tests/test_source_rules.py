@@ -1,11 +1,13 @@
 """Static rules over the package source.
 
 Each tolerance constant (a module-level name ending in _TOL or _FLOOR) is
-assigned in one module only, so changing it is a one-line edit; no module
-depends on the private internals of the stdlib json encoder; every import
-sits at module level, where the dependencies between modules are visible; and
-the solver takes the norm of a single vector with its own _norm, because the
-dispatch of np.linalg.norm costs more than the norm of a short vector.
+assigned in one module only, so changing it is a one-line edit, and is read
+somewhere in the package, so a check that is removed takes its tolerance
+with it; no module depends on the private internals of the stdlib json
+encoder; every import sits at module level, where the dependencies between
+modules are visible; and the solver takes the norm of a single vector with
+its own _norm, because the dispatch of np.linalg.norm costs more than the
+norm of a short vector.
 """
 
 import ast
@@ -20,7 +22,7 @@ def _modules():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_each_tolerance_constant_has_one_home():
+def _tolerance_homes():
     homes = defaultdict(list)
     for name, tree in _modules().items():
         for node in tree.body:
@@ -35,8 +37,20 @@ def test_each_tolerance_constant_has_one_home():
                         and target.id.endswith(("_TOL", "_FLOOR")):
                     homes[target.id].append(name)
     assert homes, "no tolerance constants found"
+    return homes
+
+
+def test_each_tolerance_constant_has_one_home():
+    homes = _tolerance_homes()
     shared = {const: mods for const, mods in homes.items() if len(mods) > 1}
     assert not shared
+
+
+def test_each_tolerance_constant_is_read():
+    read = {node.id for tree in _modules().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = set(_tolerance_homes()) - read
+    assert not unread, sorted(unread)
 
 
 def test_no_module_uses_json_encoder_internals():

@@ -19,17 +19,16 @@ from simplex_spectra import (
     classify_robustness,
     classify_stationarity,
     closed_form_verdict,
+    densify,
     frame_vector_prediction,
-    hessian,
-    jacobian,
     lemma_bridge_residual,
     make_eigenpair,
-    projected_hessian,
     regular_simplex_frame,
+    second_order,
     simplex_tensor,
-    sym_eigen,
 )
-from conftest import drop_v_mode, odeco_tensor
+from simplex_spectra import stability
+from conftest import drop_v_mode, odeco_tensor, random_factored
 
 
 def unit(v):
@@ -47,34 +46,33 @@ def simplex_pair(n, m, j=0):
 
 def test_hessian_of_plane_simplex_cubic_at_frame_vector():
     t, pair = simplex_pair(2, 3)
-    npt.assert_allclose(hessian(t, pair), np.diag([0.75, -2.25]), atol=1e-13)
-    npt.assert_allclose(projected_hessian(t, pair), np.diag([0.0, -2.25]),
+    npt.assert_allclose(second_order(t, pair)[0], np.diag([0.0, -2.25]),
                         atol=1e-13)
 
 
 def test_hessian_of_odeco_cubic_at_basis_vector():
     t = odeco_tensor(2, 3)
     pair = make_eigenpair(t, [1.0, 0.0])
-    npt.assert_allclose(hessian(t, pair), np.diag([1.0, -1.0]), atol=1e-14)
-    npt.assert_allclose(projected_hessian(t, pair), np.diag([0.0, -1.0]),
+    npt.assert_allclose(second_order(t, pair)[0], np.diag([0.0, -1.0]),
                         atol=1e-14)
 
 
 def test_jacobian_vanishes_for_odeco_basis_pairs():
     t = odeco_tensor(2, 3)
     pair = make_eigenpair(t, [1.0, 0.0])
-    npt.assert_allclose(jacobian(t, pair), np.zeros((2, 2)), atol=1e-14)
+    npt.assert_allclose(second_order(t, pair)[1], np.zeros((2, 2)),
+                        atol=1e-14)
 
 
 def test_jacobian_spectrum_at_plane_frame_vector():
     t, pair = simplex_pair(2, 3)
-    values, _ = sym_eigen(jacobian(t, pair))
+    values, _ = np.linalg.eigh(second_order(t, pair)[1])
     npt.assert_allclose(values, [-2.0, 0.0], atol=1e-12)
 
 
 def test_jacobian_spectrum_for_three_dims_order_four():
     t, pair = simplex_pair(3, 4)
-    values, _ = sym_eigen(jacobian(t, pair))
+    values, _ = np.linalg.eigh(second_order(t, pair)[1])
     npt.assert_allclose(values, [0.0, 3.0 / 7.0, 3.0 / 7.0], atol=1e-12)
 
 
@@ -83,27 +81,25 @@ def test_jacobian_needs_nonzero_lambda():
                         vectors=np.array([[0.0], [1.0]]))
     pair = make_eigenpair(t, [1.0, 0.0])  # S e1^2 = 0, lambda = 0
     assert pair.lam == 0.0
-    with pytest.raises(ValueError):
-        jacobian(t, pair)
+    assert second_order(t, pair)[1] is None
 
 
 def test_forced_modes_annihilate_the_eigenvector():
     t, pair = simplex_pair(4, 5)
-    npt.assert_allclose(projected_hessian(t, pair) @ pair.v,
-                        np.zeros(4), atol=1e-12)
-    npt.assert_allclose(jacobian(t, pair) @ pair.v, np.zeros(4), atol=1e-12)
+    k, j = second_order(t, pair)
+    npt.assert_allclose(k @ pair.v, np.zeros(4), atol=1e-12)
+    npt.assert_allclose(j @ pair.v, np.zeros(4), atol=1e-12)
 
 
-def test_sym_eigen_contract():
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((5, 5))
-    a = 0.5 * (a + a.T)
-    values, vectors = sym_eigen(a)
-    assert np.all(np.diff(values) >= 0)
-    npt.assert_allclose(vectors.T @ vectors, np.eye(5), atol=1e-12)
-    npt.assert_allclose(a @ vectors, vectors @ np.diag(values), atol=1e-10)
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_second_order_matrices_are_exactly_symmetric():
+    # eigh reads one triangle only, so K and J must be symmetric to the bit
+    rng = np.random.default_rng(11)
+    for n, m in [(2, 3), (3, 4), (4, 5), (5, 6)]:
+        factored = random_factored(n, m, 2 * n, seed=n + m)
+        for t in (factored, densify(factored)):
+            k, j = second_order(t, make_eigenpair(t, rng.standard_normal(n)))
+            npt.assert_array_equal(k, k.T)
+            npt.assert_array_equal(j, j.T)
 
 
 def test_projected_hessian_matches_second_derivative_on_the_sphere():
@@ -112,7 +108,7 @@ def test_projected_hessian_matches_second_derivative_on_the_sphere():
     rng = np.random.default_rng(6)
     for n, m in [(2, 3), (3, 4), (4, 5)]:
         t, pair = simplex_pair(n, m)
-        k = projected_hessian(t, pair)
+        k = second_order(t, pair)[0]
         for _ in range(3):
             u = rng.standard_normal(n)
             u -= (u @ pair.v) * pair.v
@@ -132,18 +128,18 @@ def test_projected_hessian_matches_second_derivative_on_the_sphere():
 
 def test_stationarity_verdicts():
     t, pair = simplex_pair(3, 4)
-    values, vectors = sym_eigen(projected_hessian(t, pair))
+    values, vectors = np.linalg.eigh(second_order(t, pair)[0])
     assert classify_stationarity(values, vectors, pair.v) == STAT_LOCAL_MAX
     npt.assert_allclose(sorted(values)[:2], [-16.0 / 27.0] * 2, atol=1e-12)
 
     odeco = odeco_tensor(2, 3)
     mid = make_eigenpair(odeco, unit([1.0, 1.0]))
-    values, vectors = sym_eigen(projected_hessian(odeco, mid))
+    values, vectors = np.linalg.eigh(second_order(odeco, mid)[0])
     assert classify_stationarity(values, vectors, mid.v) == STAT_LOCAL_MIN
 
     basis = make_eigenpair(odeco_tensor(3, 3), [0.0, 0.0, 1.0])
-    k = projected_hessian(odeco_tensor(3, 3), basis)
-    values, vectors = sym_eigen(k)
+    k = second_order(odeco_tensor(3, 3), basis)[0]
+    values, vectors = np.linalg.eigh(k)
     assert classify_stationarity(values, vectors, basis.v) == STAT_LOCAL_MAX
 
 
@@ -192,6 +188,23 @@ def test_classify_pair_with_vanishing_lambda():
     assert report.j_spectrum is None and report.rho is None
 
 
+def test_classify_pair_contracts_once_per_pair(monkeypatch):
+    # K and J are both affine in S v^{m-2}; one contraction serves both.
+    calls = []
+    real = stability.apply_m2
+
+    def counting(tensor, v):
+        calls.append(v)
+        return real(tensor, v)
+
+    monkeypatch.setattr(stability, "apply_m2", counting)
+    for n, m in [(2, 3), (3, 4), (4, 5)]:
+        calls.clear()
+        t, pair = simplex_pair(n, m)
+        classify_pair(t, pair)
+        assert len(calls) == 1, (n, m)
+
+
 def test_odeco_midpoint_is_a_minimum_but_not_robust():
     # The midpoint pair is attracting in no direction: J = 2 P has rho = 2.
     t = odeco_tensor(2, 3)
@@ -233,8 +246,9 @@ def test_bridge_relates_the_two_spectra():
     # lambda sigma(J) = sigma(K) + lambda away from the forced v modes.
     for n, m in [(2, 3), (3, 4), (4, 3), (2, 6)]:
         t, pair = simplex_pair(n, m)
-        k_values, k_vectors = sym_eigen(projected_hessian(t, pair))
-        j_values, j_vectors = sym_eigen(jacobian(t, pair))
+        k, j = second_order(t, pair)
+        k_values, k_vectors = np.linalg.eigh(k)
+        j_values, j_vectors = np.linalg.eigh(j)
         left = sorted(pair.lam * x
                       for x in drop_v_mode(j_values, j_vectors, pair.v))
         right = sorted(x + pair.lam
@@ -267,8 +281,6 @@ def test_frame_vector_predictions_are_exact(n, m, lam, j_eig, rho):
     assert r.lam == lam
     assert r.j_nonzero_eig == j_eig
     assert r.rho == rho
-    assert r.robust_predicted == (rho < 1)
-    assert r.in_valid_regime
 
 
 def test_prediction_rho_is_the_absolute_nonzero_eigenvalue():
@@ -291,8 +303,7 @@ def test_prediction_matches_numerics_across_the_grid():
 def test_prediction_degenerate_line_case():
     with pytest.raises(ValueError):
         frame_vector_prediction(1, 3)  # the two-vector frame cancels itself
-    r = frame_vector_prediction(1, 4)
-    assert not r.in_valid_regime
+    frame_vector_prediction(1, 4)
 
 
 def test_prediction_rejects_bad_arguments():

@@ -92,6 +92,18 @@ def test_constructor_rejects_non_unit_factored_columns():
         SymmetricTensor(order=3, dim=2, weights=np.ones(2), vectors=vectors)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        from_rank_one_sum([(bad, [1.0, 0.0]), (1.0, [0.0, 1.0])], 3)
+    with pytest.raises(ValueError):
+        from_rank_one_sum([(1.0, [bad, 0.0])], 3)
+    entries = np.zeros((2, 2, 2))
+    entries[0, 0, 0] = bad
+    with pytest.raises(ValueError):
+        SymmetricTensor(order=3, dim=2, entries=entries)
+
+
 def test_arrays_are_read_only():
     t = simplex_tensor(2, 3)
     with pytest.raises(ValueError):
