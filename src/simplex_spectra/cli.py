@@ -10,6 +10,7 @@ invariant failure under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -171,6 +172,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree for every subcommand; ``main`` builds one per
+    process."""
     parser = _Parser(prog="simplex-spectra",
                      description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,10 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Safe to call repeatedly in one process: every call parses with the same
+    parser tree, built on the first call, and parsing keeps no state between
+    calls.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return int(exc.code or 0)
     try:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .tensors import UNIT_NORM_TOL, SymmetricTensor, from_rank_one_sum
+from .tensors import UNIT_NORM_TOL, SymmetricTensor
 
 FRAME_GRAM_TOL = 1e-10
 
@@ -134,10 +134,13 @@ def certify(frame: Frame, tol: float = 1e-10) -> CertificationReport:
 
 
 def frame_tensor(frame: Frame, order: int) -> SymmetricTensor:
-    """Factored symmetric tensor sum_j w_j^{(x) order} over the frame vectors."""
-    return from_rank_one_sum(
-        [(1.0, frame.vectors[:, j]) for j in range(frame.count)], order
-    )
+    """Factored symmetric tensor sum_j w_j^{(x) order} over the frame vectors.
+
+    The frame's columns go to SymmetricTensor as they are, with unit weights;
+    its constructor rejects an order below 2 and a non-unit column.
+    """
+    return SymmetricTensor(order=order, dim=frame.dim,
+                           weights=np.ones(frame.count), vectors=frame.vectors)
 
 
 def simplex_tensor(n: int, m: int) -> SymmetricTensor:

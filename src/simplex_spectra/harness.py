@@ -25,7 +25,7 @@ from .eigensolve import (
     newton_refine,
     sphere_grid,
 )
-from .frames import Frame, regular_simplex_frame, simplex_tensor
+from .frames import Frame, frame_tensor, regular_simplex_frame
 from .stability import (
     ROB_ROBUST,
     StabilityReport,
@@ -74,7 +74,7 @@ def sweep(n_values: Sequence[int], m_values: Sequence[int]) -> List[SweepRow]:
         frame = regular_simplex_frame(n)
         for m in sorted(set(int(x) for x in m_values)):
             prediction = frame_vector_prediction(n, m)
-            tensor = simplex_tensor(n, m)
+            tensor = frame_tensor(frame, m)
             pair = make_eigenpair(tensor, frame.vectors[:, 0],
                                   source=SOURCE_CLOSED)
             report = classify_pair(tensor, pair)
@@ -100,7 +100,8 @@ def validate_sweep_row(row: SweepRow) -> List[str]:
             f"(n={row.n}, m={row.m}): |rho_numeric - rho_closed| = "
             f"{abs(row.rho_numeric - row.rho_closed):.3e} exceeds {RHO_AGREEMENT_TOL}"
         )
-    if row.robust_closed != "boundary":
+    # the threshold law is stated for n >= 2; the line n = 1 has rho = 0
+    if row.n >= 2 and row.robust_closed != "boundary":
         if (row.robust_closed == ROB_ROBUST) != row.threshold_pass:
             problems.append(
                 f"(n={row.n}, m={row.m}): closed-form verdict "
@@ -166,7 +167,7 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
     if not 3 <= m <= 6:
         raise ValueError("conjecture check is tuned for m in 3..6")
     frame = regular_simplex_frame(n)
-    tensor = simplex_tensor(n, m)
+    tensor = frame_tensor(frame, m)
     isotropic = False
     if n == 2:
         enumeration = enumerate_2d(tensor, grid=grid)

@@ -151,7 +151,8 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
     rho = (n+1)(m-1) / (n^{m-1} - 1) for odd m and
     rho = (n+1)(m-1) / (n^{m-1} + 1) for even m. Exact rationals make the
     rho = 1 boundary decision unambiguous. n = 1 is admitted for even m only
-    (odd m degenerates: the frame tensor vanishes).
+    (odd m degenerates: the frame tensor vanishes); there the nonzero
+    eigenvalue has multiplicity 0, the Jacobian is the 1x1 zero and rho = 0.
     """
     if n < 1:
         raise ValueError("frame prediction needs n >= 1")
@@ -162,10 +163,7 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
         raise ValueError("degenerate case n = 1 with odd m: the tensor is zero")
     lam = 1 + Fraction(n, (-n) ** m)
     j_nonzero = Fraction((n + 1) * (m - 1), denom)
-    if m % 2:
-        rho = Fraction((n + 1) * (m - 1), n ** (m - 1) - 1)
-    else:
-        rho = Fraction((n + 1) * (m - 1), n ** (m - 1) + 1)
+    rho = abs(j_nonzero) if n > 1 else Fraction(0)
     return ClosedFormReport(
         n=n,
         m=m,

@@ -206,6 +206,18 @@ def test_sweep_csv_output(tmp_path):
     assert len(lines) == 10
 
 
+def test_sweep_on_the_line_has_rho_zero_and_no_violation(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run_cli("sweep", "--n", "1", "--m", "4,6", "--format", "json",
+                   "--strict", "--no-timestamp", "--out", str(out)) == 0
+    assert "violation" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["n"], r["m"]) for r in rows] == [(1, 4), (1, 6)]
+    for r in rows:
+        assert r["rho_closed"] == r["rho_numeric"] == 0
+        assert r["robust_closed"] == r["robust_numeric"] == "robust"
+
+
 def test_sweep_json_without_timestamp_is_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -263,3 +275,84 @@ def test_bad_integer_set_exits_one(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "simplex-spectra" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- one parser
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch,
+                                                 capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    cli._shared_parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        for m in ("3", "4", "5"):
+            assert run_cli("sweep", "--n", "2", "--m", m,
+                           "--out", str(tmp_path / "s.csv")) == 0
+        assert run_cli("bogus") == 1
+        assert run_cli("--help") == 0
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_a_timestamp_flag_does_not_carry_over_to_the_next_call(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("sweep", "--n", "2", "--m", "3", "--format", "json",
+                   "--no-timestamp", "--out", str(a)) == 0
+    assert run_cli("sweep", "--n", "2", "--m", "3", "--format", "json",
+                   "--out", str(b)) == 0
+    assert "timestamp" not in json.loads(a.read_text())
+    assert "timestamp" in json.loads(b.read_text())
+
+
+def test_a_usage_error_does_not_spoil_the_next_call(tmp_path, capsys):
+    assert run_cli("sweep", "--format", "xml", "--out", "x") == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli("sweep", "--n", "2", "--m", "3",
+                   "--out", str(tmp_path / "s.csv")) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_help_twice_gives_the_same_text(capsys):
+    outputs = []
+    for _ in range(2):
+        assert run_cli("conjecture", "--help") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "--starts" in outputs[0]
+
+
+def test_each_subcommand_reaches_its_own_handler(tmp_path, capsys):
+    frame, tensor, plane = (tmp_path / name for name in
+                            ("f.json", "t.json", "t2.json"))
+    pairs, reports = tmp_path / "p.json", tmp_path / "r.json"
+    calls = [
+        (("frame", "build", "--n", "3", "--out", str(frame)),
+         "wrote simplex frame"),
+        (("frame", "certify", "--in", str(frame)), '{\n  "unit_norms"'),
+        (("tensor", "build", "--n", "3", "--m", "4", "--out", str(tensor)),
+         "wrote simplex tensor"),
+        (("tensor", "build", "--n", "2", "--m", "5", "--out", str(plane)),
+         "wrote simplex tensor"),
+        (("eig", "solve", "--tensor", str(tensor), "--starts", "20",
+          "--out", str(pairs)), "found 4 eigenpairs"),
+        (("eig", "enumerate2d", "--tensor", str(plane),
+          "--out", str(tmp_path / "e.json")), "angle scan found"),
+        (("eig", "classify", "--tensor", str(tensor), "--pairs", str(pairs),
+          "--out", str(reports)), "classified 4 eigenpairs"),
+        (("sweep", "--n", "2", "--m", "3", "--out", str(tmp_path / "s.csv")),
+         "wrote 1 sweep rows"),
+        (("conjecture", "--n", "2", "--m", "5", "--out",
+          str(tmp_path / "c.json")), "(n=2, m=5)"),
+    ]
+    for argv, first_line in calls + calls[::-1]:
+        assert run_cli(*argv) == 0, argv
+        assert capsys.readouterr().out.startswith(first_line), argv

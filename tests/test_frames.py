@@ -9,6 +9,7 @@ from simplex_spectra import (
     apply_m1,
     certify,
     frame_tensor,
+    from_rank_one_sum,
     load_frame,
     make_eigenpair,
     orthonormal_frame,
@@ -134,6 +135,30 @@ def test_frame_tensor_uses_every_vector():
     assert t.is_factored
     assert t.vectors.shape == (3, 3)
     npt.assert_allclose(t.weights, np.ones(3), atol=0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_frame_tensor_matches_a_rank_one_sum_bit_for_bit(n, tmp_path):
+    frame = regular_simplex_frame(n)
+    path = tmp_path / "frame.json"
+    save_frame(frame, path)
+    for m in range(2, 9):
+        ref = from_rank_one_sum(
+            [(1.0, frame.vectors[:, j]) for j in range(frame.count)], m)
+        for source in (frame, load_frame(path)):
+            t = frame_tensor(source, m)
+            assert (t.order, t.dim) == (ref.order, ref.dim)
+            for got, want in ((t.weights, ref.weights),
+                              (t.vectors, ref.vectors)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+
+def test_frame_tensor_rejects_a_non_unit_column():
+    frame = Frame(dim=2, count=2, vectors=np.array([[1.0, 0.0], [0.0, 1.5]]))
+    with pytest.raises(ValueError, match="unit norm"):
+        frame_tensor(frame, 3)
 
 
 def test_simplex_tensor_rejects_low_order():

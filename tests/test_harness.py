@@ -19,6 +19,7 @@ from simplex_spectra import (
     sweep,
     validate_sweep_row,
 )
+from simplex_spectra import frames, harness
 from simplex_spectra.harness import sweep_to_payload
 
 GRID_N = range(2, 7)
@@ -68,6 +69,29 @@ def test_sweep_is_deterministic():
 def test_sweep_deduplicates_and_sorts_inputs():
     rows = sweep([3, 2, 3], [4, 3, 3])
     assert [(r.n, r.m) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
+
+
+def test_sweep_and_conjecture_build_one_frame_per_dimension(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return regular_simplex_frame(n)
+
+    for namespace in (harness, frames):
+        monkeypatch.setattr(namespace, "regular_simplex_frame", counting)
+    sweep(GRID_N, GRID_M)
+    assert built == list(GRID_N)
+    built.clear()
+    conjecture_check(2, 5)
+    assert built == [2]
+
+
+def test_the_threshold_law_is_not_applied_on_the_line():
+    rows = sweep([1], [4, 6])
+    assert [(r.rho_closed, r.robust_closed) for r in rows] == [
+        (0.0, ROB_ROBUST), (0.0, ROB_ROBUST)]
+    assert [validate_sweep_row(r) for r in rows] == [[], []]
 
 
 def test_validate_flags_inconsistent_rows():
