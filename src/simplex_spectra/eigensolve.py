@@ -115,6 +115,16 @@ def canonical_sign(lam: float, v: np.ndarray, order: int) -> Tuple[float, np.nda
     return (0.0 - lam if odd else lam), -v
 
 
+def _unit_start(v0) -> np.ndarray:
+    """A starting vector, normalized. Its norm must be positive and finite,
+    which refuses a zero vector and any NaN or infinite entry."""
+    v = np.asarray(v0, dtype=float)
+    norm = _norm(v)
+    if not 0.0 < norm < math.inf:
+        raise ValueError("starting vector must be nonzero and finite")
+    return v / norm
+
+
 def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
                    source: str = SOURCE_CLOSED) -> Eigenpair:
     """Normalize v, evaluate lambda = S v^m, canonicalize, record the residual."""
@@ -141,8 +151,15 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
 def power_step(tensor: SymmetricTensor, v) -> np.ndarray:
     """One step of the normalized power map v -> S v^{m-1} / |S v^{m-1}|."""
     v = np.asarray(v, dtype=float)
-    if abs(_norm(v) - 1.0) > UNIT_NORM_TOL:
+    # negated so that a NaN norm, from a NaN or infinite entry, fails too
+    if not abs(_norm(v) - 1.0) <= UNIT_NORM_TOL:
         raise ValueError("power step expects a unit vector")
+    return _power_step(tensor, v)
+
+
+def _power_step(tensor: SymmetricTensor, v: np.ndarray) -> np.ndarray:
+    """power_step without its unit-norm check, for iterates that are unit
+    by construction."""
     g = apply_m1(tensor, v)
     norm = _norm(g)
     if norm <= DEGENERATE_CONTRACTION_TOL:
@@ -179,14 +196,10 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
         raise ValueError("power method tolerance must be positive and finite")
     if max_iter < 1:
         raise ValueError("power method needs max_iter >= 1")
-    cur = np.asarray(v0, dtype=float)
-    norm = _norm(cur)
-    if norm == 0.0:
-        raise ValueError("starting vector must be nonzero")
-    cur = cur / norm
+    cur = _unit_start(v0)
     prev: Optional[np.ndarray] = None
     for k in range(max_iter):
-        nxt = power_step(tensor, cur)
+        nxt = _power_step(tensor, cur)
         moved = _norm(nxt - cur)
         if moved <= tol:
             pair = make_eigenpair(tensor, nxt, iterations=k, source=SOURCE_POWER)
@@ -205,43 +218,62 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
     The linearization is the bordered system
         [ (m-1) S v^{m-2} - lambda I   -v ]
         [ 2 v^T                         0 ].
-    Convergence is judged on the KKT residual of the normalized iterate, so a
-    start that already satisfies it is returned after zero steps.
+    Convergence is judged on the KKT residual of the normalized iterate
+    u = v / |v|, so a start that already satisfies it is returned after zero
+    steps, as the canonical pair (S u^m, u).
+
+    One contraction per iterate serves both points. With s = S u^{m-2},
+    g = s u = S u^{m-1} and S u^m = u.g give the residual at u, and since
+    S is homogeneous, S v^{m-2} = |v|^{m-2} s and S v^{m-1} = |v|^{m-1} g
+    give the bordered system at v. The raw iterate v, its Newton-updated
+    lambda and the v.v - 1 row are kept, so the path is the one that
+    separate contractions at u and at v would take, up to their last bits.
+    Stepping on the sphere, or resetting lambda to the Rayleigh quotient,
+    would be cheaper per seed, but takes other paths that land elsewhere
+    near singular pairs.
     """
+    if max_iter < 0:
+        raise ValueError("newton refinement needs max_iter >= 0")
     n, m = tensor.dim, tensor.order
-    v = np.asarray(v0, dtype=float)
-    norm = _norm(v)
-    if norm == 0.0:
-        raise ValueError("starting vector must be nonzero")
-    v = v / norm
+    v = _unit_start(v0)
     norm = _norm(v)
     lam = apply_m(tensor, v)
     best: Optional[float] = None
-    # every entry but the zero corner is rewritten before each solve
+    # every entry but the zero corner is rewritten before each solve;
+    # rhs is -F(v, lambda)
     bordered = np.zeros((n + 1, n + 1))
+    block = bordered[:n, :n]
+    diagonal = bordered.ravel()[:n * (n + 2):n + 2]  # a view: block's diagonal
     rhs = np.empty(n + 1)
-    eye = np.eye(n)
     for k in range(max_iter + 1):
-        vn = v / norm
-        lam_n = apply_m(tensor, vn)
-        residual = _norm(apply_m1(tensor, vn) - lam_n * vn)
+        u = v / norm
+        s = apply_m2(tensor, u)
+        g = s @ u
+        lam_u = float(u @ g)
+        residual = _norm(g - lam_u * u)
         if residual <= ACCEPT_TOL:
-            return make_eigenpair(tensor, vn, iterations=k, source=SOURCE_NEWTON)
+            # a sign flip leaves the residual's bits as they are
+            lam_u, u = canonical_sign(lam_u, u, m)
+            return Eigenpair(lam=lam_u, v=u, kkt_residual=residual,
+                             iterations=k, source=SOURCE_NEWTON)
         best = residual if best is None else min(best, residual)
         if k == max_iter:
             break
-        bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * eye
+        scale = norm ** (m - 2)
+        np.multiply(s, (m - 1) * scale, out=block)
+        diagonal -= lam
         bordered[:n, n] = -v
         bordered[n, :n] = 2.0 * v
-        rhs[:n] = apply_m1(tensor, v) - lam * v
-        rhs[n] = float(v @ v) - 1.0
+        rhs[:n] = lam * v - (scale * norm) * g
+        rhs[n] = 1.0 - float(v @ v)
         try:
-            step = np.linalg.solve(bordered, -rhs)
+            step = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError as exc:
             raise RefinementError(
                 f"singular linearization after {k} steps", residual=best
             ) from exc
-        if not np.isfinite(step).all():
+        # on n + 1 entries the builtins beat the dispatch of ndarray.all
+        if not all(map(math.isfinite, step.tolist())):
             raise RefinementError(
                 f"non-finite Newton step after {k} steps", residual=best
             )

@@ -12,7 +12,9 @@ from simplex_spectra import (
     STATUS_MAX_ITER,
     SymmetricTensor,
     angle_between,
+    apply_m,
     apply_m1,
+    apply_m2,
     canonical_sign,
     dedup,
     densify,
@@ -27,7 +29,9 @@ from simplex_spectra import (
     sphere_grid,
 )
 from simplex_spectra import eigensolve
-from simplex_spectra.eigensolve import (MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
+from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_SEPARATION,
+                                        MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
+                                        SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
 from conftest import odeco_tensor, random_factored
 
@@ -122,6 +126,53 @@ def test_power_method_reports_non_convergence_on_repelling_tensor():
     assert res.iterations == 500
 
 
+def _power_method_by_steps(tensor, v0, tol=1e-12, max_iter=5000):
+    """power_method's loop over the public, checked power_step: (status,
+    iterations, last)."""
+    cur = v0 / eigensolve._norm(v0)
+    prev = None
+    for k in range(max_iter):
+        nxt = power_step(tensor, cur)
+        moved = eigensolve._norm(nxt - cur)
+        if moved <= tol:
+            return STATUS_CONVERGED, k, nxt
+        if prev is not None and moved > CYCLE_SEPARATION \
+                and eigensolve._norm(nxt - prev) <= tol:
+            return STATUS_CYCLING, k, nxt
+        prev, cur = cur, nxt
+    return STATUS_MAX_ITER, max_iter, cur
+
+
+def test_power_method_matches_a_loop_over_power_step(monkeypatch):
+    def checked_step(tensor, v):
+        raise AssertionError("power_method re-checked a unit iterate")
+
+    # the reference loop calls the power_step imported above, not this name
+    monkeypatch.setattr(eigensolve, "power_step", checked_step)
+    rng = np.random.default_rng(31)
+    statuses = set()
+    for t in (simplex_tensor(3, 3), simplex_tensor(4, 6), odeco_tensor(3, 4)):
+        for _ in range(50):
+            v0 = rng.standard_normal(t.dim)
+            res = power_method(t, v0)
+            status, iterations, last = _power_method_by_steps(t, v0)
+            assert (res.status, res.iterations) == (status, iterations)
+            npt.assert_array_equal(res.last, last)
+            statuses.add(status)
+    assert statuses == {STATUS_CONVERGED, STATUS_CYCLING}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_method_and_newton_refuse_a_non_finite_start(bad):
+    t = simplex_tensor(3, 3)
+    with pytest.raises(ValueError, match="unit vector"):
+        power_step(t, [bad, 0.2, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        power_method(t, [bad, 0.2, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        newton_refine(t, [bad, 0.2, 0.1])
+
+
 # ---------------------------------------------------------------- refinement
 
 
@@ -155,6 +206,122 @@ def test_newton_refine_raises_with_best_residual_on_budget_exhaustion():
     with pytest.raises(RefinementError) as err:
         newton_refine(t, unit([np.cos(1.0), np.sin(1.0)]), max_iter=0)
     assert err.value.residual > 1e-10
+
+
+def test_newton_refine_rejects_a_negative_budget():
+    with pytest.raises(ValueError):
+        newton_refine(simplex_tensor(2, 3), [1.0, 0.1], max_iter=-1)
+
+
+def test_newton_refine_makes_one_contraction_per_iterate(monkeypatch):
+    calls = {}
+    for name in ("apply_m", "apply_m1", "apply_m2"):
+        def counted(tensor, v, _name=name, _fn=getattr(eigensolve, name)):
+            calls[_name] += 1
+            return _fn(tensor, v)
+        monkeypatch.setattr(eigensolve, name, counted)
+    factored = random_factored(3, 4, r=5, seed=21)
+    steps = 0
+    for t in (simplex_tensor(3, 3), factored, densify(factored)):
+        for v0 in sphere_grid(3, 20):
+            calls.update(apply_m=0, apply_m1=0, apply_m2=0)
+            try:
+                pair = newton_refine(t, v0)
+            except RefinementError:
+                continue
+            assert calls == {"apply_m": 1, "apply_m1": 0,
+                             "apply_m2": pair.iterations + 1}
+            steps += pair.iterations
+    assert steps > 0
+
+
+def _two_point_newton(tensor, v0, max_iter=50):
+    """newton_refine with a contraction per use: S v^m and S v^{m-1} at the
+    normalized iterate for the residual, S v^{m-2} and S v^{m-1} at the raw
+    iterate for the bordered system, and make_eigenpair on accept. None
+    where newton_refine raises RefinementError."""
+    n, m = tensor.dim, tensor.order
+    v = np.asarray(v0, dtype=float)
+    v = v / eigensolve._norm(v)
+    norm = eigensolve._norm(v)
+    lam = apply_m(tensor, v)
+    bordered = np.zeros((n + 1, n + 1))
+    rhs = np.empty(n + 1)
+    for k in range(max_iter + 1):
+        vn = v / norm
+        residual = eigensolve._norm(apply_m1(tensor, vn)
+                                    - apply_m(tensor, vn) * vn)
+        if residual <= ACCEPT_TOL:
+            return make_eigenpair(tensor, vn, iterations=k,
+                                  source=SOURCE_NEWTON)
+        if k == max_iter:
+            return None
+        bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * np.eye(n)
+        bordered[:n, n] = -v
+        bordered[n, :n] = 2.0 * v
+        rhs[:n] = apply_m1(tensor, v) - lam * v
+        rhs[n] = float(v @ v) - 1.0
+        try:
+            step = np.linalg.solve(bordered, -rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(step).all():
+            return None
+        v = v + step[:n]
+        lam = lam + float(step[n])
+        norm = eigensolve._norm(v)
+        if norm == 0.0:
+            return None
+    return None
+
+
+def _unmatched(pairs, others):
+    return [p for p in pairs
+            if not any(abs(p.lam - q.lam) <= MATCH_LAMBDA_TOL
+                       and angle_between(p.v, q.v) <= MATCH_ANGLE_TOL
+                       for q in others)]
+
+
+# (4,6) has singular eigenpairs at lambda = 125/1024, where Newton stalls
+# and its endpoints depend on last bits; only there may inventories differ.
+SINGULAR_46 = 125.0 / 1024.0
+
+
+@pytest.mark.parametrize("build, dim, every_seed", [
+    (lambda: simplex_tensor(3, 3), 3, True),
+    (lambda: simplex_tensor(3, 4), 3, True),
+    (lambda: random_factored(3, 4, r=5, seed=21), 3, False),
+    (lambda: densify(random_factored(3, 4, r=5, seed=21)), 3, False),
+    (lambda: simplex_tensor(4, 6), 4, False),
+], ids=["simplex-3-3", "simplex-3-4", "factored-3-4", "dense-3-4",
+        "simplex-4-6"])
+def test_newton_refine_keeps_the_two_point_trajectory(build, dim, every_seed):
+    t = build()
+    seeds = sphere_grid(dim, 500)
+    ours, reference = [], []
+    agree = 0
+    for v0 in seeds:
+        try:
+            pair = newton_refine(t, v0)
+        except RefinementError:
+            pair = None
+        ref = _two_point_newton(t, v0)
+        agree += (pair is None and ref is None) or (
+            pair is not None and ref is not None
+            and pair.iterations == ref.iterations)
+        if pair is not None:
+            scale = 1e-14 * max(1.0, abs(pair.lam))
+            assert abs(pair.lam - apply_m(t, pair.v)) <= scale
+            assert abs(pair.kkt_residual - eigensolve._norm(
+                apply_m1(t, pair.v) - pair.lam * pair.v)) <= scale
+            ours.append(pair)
+        if ref is not None:
+            reference.append(ref)
+    assert agree == len(seeds) if every_seed else agree >= 0.98 * len(seeds)
+    ours, reference = dedup(ours), dedup(reference)
+    differ = _unmatched(ours, reference) + _unmatched(reference, ours)
+    assert all(abs(p.lam - SINGULAR_46) <= MATCH_LAMBDA_TOL for p in differ)
+    assert len(differ) <= 0.05 * len(ours)
 
 
 def test_newton_refine_agrees_on_dense_and_factored_storage():
