@@ -48,6 +48,10 @@ ISOTROPY_REL_TOL = 1e-12
 # both alternation points collapse onto the limit, so requiring a minimum
 # separation tells the two apart.
 CYCLE_SEPARATION = 1e-6
+# The two-step gap |v_{k+1} - v_{k-1}| of a period-2 orbit can stall at a
+# few 1e-12 while the orbit drifts, above a convergence tol of 1e-12, so the
+# gap has a bound of its own.
+CYCLE_GAP_TOL = 1e-9
 
 SOURCE_POWER = "power_method"
 SOURCE_NEWTON = "newton"
@@ -188,9 +192,11 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     orientation the map settles into). Period-2 oscillation between two
     separated points, the signature of a negative eigenvalue under an even
     order or of boundary dynamics, is reported as cycling rather than ground
-    out to max_iter. Oscillation with a collapsing separation is not a
-    cycle: a contraction with a negative Jacobian eigenvalue alternates on
-    its way in, and that trajectory is allowed to run to convergence.
+    out to max_iter: the step is above CYCLE_SEPARATION while the two-step
+    gap |v_{k+1} - v_{k-1}| is at most CYCLE_GAP_TOL. Oscillation with a
+    collapsing separation is not a cycle: a contraction with a negative
+    Jacobian eigenvalue alternates on its way in, and that trajectory is
+    allowed to run to convergence.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("power method tolerance must be positive and finite")
@@ -205,7 +211,7 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
             pair = make_eigenpair(tensor, nxt, iterations=k, source=SOURCE_POWER)
             return PowerResult(STATUS_CONVERGED, pair, k, nxt)
         if prev is not None and moved > CYCLE_SEPARATION \
-                and _norm(nxt - prev) <= tol:
+                and _norm(nxt - prev) <= CYCLE_GAP_TOL:
             return PowerResult(STATUS_CYCLING, None, k, nxt)
         prev = cur
         cur = nxt
@@ -236,20 +242,24 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
         raise ValueError("newton refinement needs max_iter >= 0")
     n, m = tensor.dim, tensor.order
     v = _unit_start(v0)
-    norm = _norm(v)
+    vv = v.dot(v)
+    norm = math.sqrt(vv)
     lam = apply_m(tensor, v)
     best: Optional[float] = None
-    # every entry but the zero corner is rewritten before each solve;
-    # rhs is -F(v, lambda)
+    # every entry but the zero corner is rewritten in place before each
+    # solve, through these views; rhs is -F(v, lambda)
     bordered = np.zeros((n + 1, n + 1))
     block = bordered[:n, :n]
-    diagonal = bordered.ravel()[:n * (n + 2):n + 2]  # a view: block's diagonal
+    diagonal = bordered.ravel()[:n * (n + 2):n + 2]
+    column = bordered[:n, n]
+    row = bordered[n, :n]
     rhs = np.empty(n + 1)
+    top = rhs[:n]
     for k in range(max_iter + 1):
         u = v / norm
         s = apply_m2(tensor, u)
-        g = s @ u
-        lam_u = float(u @ g)
+        g = s.dot(u)
+        lam_u = float(u.dot(g))
         residual = _norm(g - lam_u * u)
         if residual <= ACCEPT_TOL:
             # a sign flip leaves the residual's bits as they are
@@ -260,12 +270,15 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
         if k == max_iter:
             break
         scale = norm ** (m - 2)
-        np.multiply(s, (m - 1) * scale, out=block)
+        # a ufunc writing into the strided block through out= costs more
+        # than the same product copied into it
+        block[...] = s * ((m - 1) * scale)
         diagonal -= lam
-        bordered[:n, n] = -v
-        bordered[n, :n] = 2.0 * v
-        rhs[:n] = lam * v - (scale * norm) * g
-        rhs[n] = 1.0 - float(v @ v)
+        np.negative(v, out=column)
+        np.multiply(v, 2.0, out=row)
+        np.multiply(g, scale * norm, out=top)
+        np.subtract(lam * v, top, out=top)
+        rhs[n] = 1.0 - vv
         try:
             step = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError as exc:
@@ -279,7 +292,8 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
             )
         v = v + step[:n]
         lam = lam + float(step[n])
-        norm = _norm(v)
+        vv = v.dot(v)
+        norm = math.sqrt(vv)
         if norm == 0.0:
             raise RefinementError("iterate collapsed to zero", residual=best)
     raise RefinementError(

@@ -8,14 +8,22 @@ path carries the batch on the leading axis of x.T . vectors, so one vector
 runs the same expressions, and gives the same bits, as a batch of one. The
 factored form keeps contractions at O(r * n) regardless of order, so dense
 storage (n^m entries, capped) is only ever needed on request.
+
+A factored tensor also keeps a pair-product table: row k holds
+w_k[i] w_k[j] over the upper triangle i <= j. S v^{m-2} is then one
+product of the coefficients c_k = weights_k (v . w_k)^{m-2} against that
+table, and entries (i, j) and (j, i) read the same table column, so the
+matrix is exactly symmetric whatever order BLAS sums in. The table has
+r n (n+1)/2 entries and shares the dense cap: a tensor whose table would
+exceed it keeps none and contracts through V diag(c) V^T instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cache, reduce
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,9 +42,18 @@ class CapacityError(Exception):
 
 
 def dense_capacity() -> int:
-    """Current dense-entry cap; the SIMPLEX_SPECTRA_CAP env var overrides it."""
+    """Current dense-entry cap; the SIMPLEX_SPECTRA_CAP env var overrides it
+    with a positive integer, and any other value raises ValueError."""
     raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_DENSE_CAP
+    if not raw:
+        return DEFAULT_DENSE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused below, with the variable's name
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_capacity(dim: int, order: int) -> None:
@@ -62,6 +79,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@cache
+def _upper_triangle(dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the upper triangle i <= j, in np.triu_indices
+    order, and the (dim, dim) map from (i, j) and (j, i) alike to the
+    position of that pair in it. Read-only, since every tensor of this
+    dimension shares them."""
+    rows, cols = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    for a in (rows, cols, index):
+        a.setflags(write=False)
+    return rows, cols, index
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricTensor:
     """Order-m symmetric tensor over R^n.
@@ -70,6 +101,11 @@ class SymmetricTensor:
     ``(dim,) * order``) or the pair ``weights``/``vectors`` (factored,
     sum of weights[i] * vectors[:, i]^{outer order}). Instances are
     immutable; all arrays are read-only copies.
+
+    A factored tensor whose table fits the dense cap also holds
+    ``pair_products`` (row k: vectors[i, k] * vectors[j, k] over i <= j)
+    and ``pair_index``, the symmetric (dim, dim) map from (i, j) to its
+    column; both are None otherwise.
     """
 
     order: int
@@ -77,6 +113,10 @@ class SymmetricTensor:
     entries: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     vectors: Optional[np.ndarray] = None
+    pair_products: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False)
+    pair_index: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 2:
@@ -116,6 +156,12 @@ class SymmetricTensor:
                 raise ValueError("every factored vector must have unit norm")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "vectors", vs)
+            if w.size * self.dim * (self.dim + 1) // 2 <= dense_capacity():
+                rows, cols, index = _upper_triangle(self.dim)
+                table = (vs[rows] * vs[cols]).T.copy()  # C order: (r, pairs)
+                table.setflags(write=False)
+                object.__setattr__(self, "pair_products", table)
+                object.__setattr__(self, "pair_index", index)
 
     @property
     def is_dense(self) -> bool:
@@ -246,11 +292,21 @@ def apply_m1(tensor: SymmetricTensor, v) -> np.ndarray:
 
 def apply_m2(tensor: SymmetricTensor, v) -> np.ndarray:
     """Matrix contraction S v^{m-2}: shape (n, n), or (B, n, n) for a batch.
-    The result is symmetrized against roundoff."""
+
+    A factored tensor with a pair-product table makes one product of the
+    coefficients against it and spreads the upper triangle over both
+    halves, so the result is exactly symmetric by construction. Without a
+    table (it would exceed the dense cap), and for dense storage, the
+    result is symmetrized against roundoff."""
     x = _check_operand(tensor, v)
     if tensor.entries is None:
         vs = tensor.vectors
         coef = tensor.weights * np.dot(x.T, vs) ** (tensor.order - 2)
+        if tensor.pair_products is not None:
+            tri = coef.dot(tensor.pair_products)
+            # indexing a 1-d tri without an Ellipsis is the cheaper gather
+            return tri[tensor.pair_index] if tri.ndim == 1 \
+                else tri[:, tensor.pair_index]
         out = (vs * coef[..., None, :]) @ vs.T
     else:
         out = _dense_contract(tensor.entries, x, tensor.order - 2)

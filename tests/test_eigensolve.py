@@ -29,7 +29,8 @@ from simplex_spectra import (
     sphere_grid,
 )
 from simplex_spectra import eigensolve
-from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_SEPARATION,
+from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
+                                        CYCLE_SEPARATION,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
                                         SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
@@ -126,6 +127,18 @@ def test_power_method_reports_non_convergence_on_repelling_tensor():
     assert res.iterations == 500
 
 
+@pytest.mark.parametrize("seed, start", [(0, 737), (7, 1894)])
+def test_power_method_catches_a_slowly_drifting_cycle(seed, start):
+    # Starts of `conjecture --n 3 --m 3`, drawn as multi_start draws them.
+    # Their two iterates stay 1.414 apart while the two-step gap stalls at
+    # a few 1e-12, above the convergence tol, for hundreds of steps.
+    rng = np.random.default_rng([seed, start])
+    d = rng.standard_normal(3)
+    res = power_method(simplex_tensor(3, 3), d / eigensolve._norm(d))
+    assert res.status == STATUS_CYCLING
+    assert res.iterations <= 10
+
+
 def _power_method_by_steps(tensor, v0, tol=1e-12, max_iter=5000):
     """power_method's loop over the public, checked power_step: (status,
     iterations, last)."""
@@ -137,7 +150,7 @@ def _power_method_by_steps(tensor, v0, tol=1e-12, max_iter=5000):
         if moved <= tol:
             return STATUS_CONVERGED, k, nxt
         if prev is not None and moved > CYCLE_SEPARATION \
-                and eigensolve._norm(nxt - prev) <= tol:
+                and eigensolve._norm(nxt - prev) <= CYCLE_GAP_TOL:
             return STATUS_CYCLING, k, nxt
         prev, cur = cur, nxt
     return STATUS_MAX_ITER, max_iter, cur
@@ -273,6 +286,86 @@ def _two_point_newton(tensor, v0, max_iter=50):
         if norm == 0.0:
             return None
     return None
+
+
+def _newton_assigned_by_slices(tensor, v0, max_iter=50):
+    """newton_refine's one-contraction loop with its bordered system and
+    rhs built by slice assignment from fresh temporaries and v.v taken
+    twice: once for the norm and once for the v.v - 1 row."""
+    n, m = tensor.dim, tensor.order
+    v = eigensolve._unit_start(v0)
+    norm = eigensolve._norm(v)
+    lam = apply_m(tensor, v)
+    best = None
+    bordered = np.zeros((n + 1, n + 1))
+    block = bordered[:n, :n]
+    diagonal = bordered.ravel()[:n * (n + 2):n + 2]
+    rhs = np.empty(n + 1)
+    for k in range(max_iter + 1):
+        u = v / norm
+        s = apply_m2(tensor, u)
+        g = s @ u
+        lam_u = float(u @ g)
+        residual = eigensolve._norm(g - lam_u * u)
+        if residual <= ACCEPT_TOL:
+            lam_u, u = canonical_sign(lam_u, u, m)
+            return Eigenpair(lam=lam_u, v=u, kkt_residual=residual,
+                             iterations=k, source=SOURCE_NEWTON)
+        best = residual if best is None else min(best, residual)
+        if k == max_iter:
+            break
+        scale = norm ** (m - 2)
+        np.multiply(s, (m - 1) * scale, out=block)
+        diagonal -= lam
+        bordered[:n, n] = -v
+        bordered[n, :n] = 2.0 * v
+        rhs[:n] = lam * v - (scale * norm) * g
+        rhs[n] = 1.0 - float(v @ v)
+        try:
+            step = np.linalg.solve(bordered, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise RefinementError(
+                f"singular linearization after {k} steps", residual=best
+            ) from exc
+        if not all(map(math.isfinite, step.tolist())):
+            raise RefinementError(
+                f"non-finite Newton step after {k} steps", residual=best
+            )
+        v = v + step[:n]
+        lam = lam + float(step[n])
+        norm = eigensolve._norm(v)
+        if norm == 0.0:
+            raise RefinementError("iterate collapsed to zero", residual=best)
+    raise RefinementError(
+        f"no convergence within {max_iter} Newton steps", residual=best
+    )
+
+
+def _newton_outcome(refine, tensor, v0):
+    try:
+        p = refine(tensor, v0)
+    except RefinementError as exc:
+        return ("error", str(exc), exc.residual)
+    return (p.lam, p.v.tobytes(), p.iterations, p.kkt_residual)
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: simplex_tensor(3, 3), 3),
+    (lambda: simplex_tensor(3, 4), 3),
+    (lambda: random_factored(3, 4, r=5, seed=21), 3),
+    (lambda: densify(random_factored(3, 4, r=5, seed=21)), 3),
+    (lambda: simplex_tensor(4, 6), 4),
+], ids=["simplex-3-3", "simplex-3-4", "factored-3-4", "dense-3-4",
+        "simplex-4-6"])
+def test_newton_refine_assembles_in_place_bit_for_bit(build, dim):
+    # both sides call the same apply_m2, so only the assembly can differ
+    t = build()
+    outcomes = set()
+    for v0 in sphere_grid(dim, 300):
+        ours = _newton_outcome(newton_refine, t, v0)
+        assert ours == _newton_outcome(_newton_assigned_by_slices, t, v0)
+        outcomes.add(ours[0] == "error")
+    assert False in outcomes
 
 
 def _unmatched(pairs, others):

@@ -125,13 +125,30 @@ def test_from_dense_flags_asymmetric_entries():
 # ---------------------------------------------------------------- contractions
 
 
+def _without_table(monkeypatch, build):
+    """build() under a dense cap one entry below its pair-product table,
+    so the tensor keeps none and apply_m2 takes the V diag(c) V^T path.
+    The cap is restored on return, so densify still works on it."""
+    with monkeypatch.context() as mp:
+        mp.setenv("SIMPLEX_SPECTRA_CAP", str(build().pair_products.size - 1))
+        tensor = build()
+    assert tensor.pair_products is None and tensor.pair_index is None
+    return tensor
+
+
 @pytest.mark.parametrize("tensor", [
     simplex_tensor(2, 3),
     simplex_tensor(3, 4),
     odeco_tensor(3, 3),
     random_factored(3, 4, r=5, seed=11),
-], ids=["simplex23", "simplex34", "odeco33", "random34"])
-def test_contractions_match_brute_force(tensor):
+    None,
+], ids=["simplex23", "simplex34", "odeco33", "random34", "fallback34"])
+def test_contractions_match_brute_force(tensor, monkeypatch):
+    table = None
+    if tensor is None:
+        table = random_factored(3, 4, r=5, seed=11)
+        tensor = _without_table(monkeypatch,
+                                lambda: random_factored(3, 4, r=5, seed=11))
     rng = np.random.default_rng(2024)
     batch = rng.standard_normal((tensor.dim, 5))
     batch /= np.linalg.norm(batch, axis=0)
@@ -150,6 +167,9 @@ def test_contractions_match_brute_force(tensor):
         npt.assert_allclose(s[j], brute_apply_m(tensor, v), atol=1e-12)
         npt.assert_allclose(g[:, j], brute_apply_m1(tensor, v), atol=1e-12)
         npt.assert_allclose(h[j], brute_apply_m2(tensor, v), atol=1e-12)
+        assert np.array_equal(h[j], h[j].T)
+        if table is not None:
+            npt.assert_allclose(h[j], apply_m2(table, v), rtol=0, atol=1e-12)
 
 
 def test_dense_and_factored_contractions_agree():
@@ -211,11 +231,36 @@ def test_contractions_are_homogeneous():
     npt.assert_allclose(apply_m1(t, c * v), c ** 3 * apply_m1(t, v), atol=1e-12)
 
 
+def _assert_apply_m2_exactly_symmetric(tensor):
+    """Every slice of apply_m2 equals its transpose for a single vector, an
+    (n, B) batch and a batch of one, and the batch of one gives the single
+    vector's bits."""
+    assert tensor.pair_products is not None
+    rng = np.random.default_rng(17)
+    batch = rng.standard_normal((tensor.dim, 4))
+    batch /= np.linalg.norm(batch, axis=0)
+    v = batch[:, 0]
+    h = apply_m2(tensor, v)
+    assert np.array_equal(h, h.T)
+    for slice_ in apply_m2(tensor, batch):
+        assert np.array_equal(slice_, slice_.T)
+    one = apply_m2(tensor, v[:, None])
+    assert one.shape == (1, tensor.dim, tensor.dim)
+    assert np.array_equal(one[0], h)
+
+
 def test_apply_m2_is_symmetric():
-    t = random_factored(4, 5, r=6, seed=3)
-    v = unit(np.arange(1.0, 5.0))
-    h = apply_m2(t, v)
-    npt.assert_allclose(h, h.T, atol=0)
+    # weights of both signs
+    for t in (random_factored(4, 5, r=6, seed=3),
+              random_factored(6, 4, r=9, seed=4)):
+        assert np.any(t.weights < 0) and np.any(t.weights > 0)
+        _assert_apply_m2_exactly_symmetric(t)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("m", range(3, 8))
+def test_apply_m2_is_symmetric_on_simplex_tensors(n, m):
+    _assert_apply_m2_exactly_symmetric(simplex_tensor(n, m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -246,6 +291,17 @@ def test_capacity_env_override(monkeypatch):
         outer_power(unit([1.0, 1.0]), 4)  # 16 > 10
     monkeypatch.delenv("SIMPLEX_SPECTRA_CAP")
     assert dense_capacity() == 10_000_000
+
+
+@pytest.mark.parametrize("bad", ["abc", "1e6", "0", "-5"])
+def test_capacity_env_rejects_a_value_that_is_not_a_positive_integer(
+        monkeypatch, bad):
+    monkeypatch.setenv("SIMPLEX_SPECTRA_CAP", bad)
+    with pytest.raises(ValueError, match="SIMPLEX_SPECTRA_CAP"):
+        dense_capacity()
+    # a factored tensor reads the cap to size its table, so it fails at once
+    with pytest.raises(ValueError, match="SIMPLEX_SPECTRA_CAP"):
+        random_factored(3, 4, r=5, seed=0)
 
 
 # ---------------------------------------------------------------- round trips
