@@ -15,8 +15,11 @@ import sys
 from dataclasses import asdict
 from typing import List, Optional
 
+import numpy as np
+
 from . import jsonio
 from .eigensolve import (
+    ACCEPT_TOL,
     enumerate_2d,
     multi_start,
     pairs_from_payload,
@@ -39,7 +42,8 @@ from .harness import (
     validate_sweep_row,
 )
 from .stability import classify_pair, report_to_payload
-from .tensors import CapacityError, load_tensor, save_tensor, tensor_to_payload
+from .tensors import (CapacityError, apply_m1, load_tensor, save_tensor,
+                      tensor_to_payload)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,6 +142,18 @@ def _cmd_eig_classify(args) -> int:
         raise ValueError(
             f"{args.pairs} was solved on a different tensor than {args.tensor}"
         )
+    if pairs:
+        # the classifiers presume S v^{m-1} = lambda v, so recompute it
+        vs = np.array([p.v for p in pairs]).T
+        lams = np.array([p.lam for p in pairs])
+        residuals = np.linalg.norm(apply_m1(tensor, vs) - lams * vs, axis=0)
+        for i, residual in enumerate(residuals):
+            if not residual <= ACCEPT_TOL:
+                raise ValueError(
+                    f"pair {i} of {args.pairs} has residual {residual:.3g} "
+                    f"above ACCEPT_TOL = {ACCEPT_TOL:g}; it is not an "
+                    f"eigenpair of {args.tensor}"
+                )
     reports = [classify_pair(tensor, p) for p in pairs]
     jsonio.dump({"reports": [report_to_payload(r) for r in reports]}, args.out)
     print(f"classified {len(reports)} eigenpairs; wrote {args.out}")

@@ -327,8 +327,9 @@ def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
 
 def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
     """Merge canonicalized duplicates; keep the representative with the
-    smallest KKT residual. Output is sorted by descending lambda, then
-    lexicographically by eigenvector entries."""
+    smallest KKT residual. Output is sorted by descending lambda, rounded
+    to a multiple of MATCH_LAMBDA_TOL so that last-bit differences cannot
+    reorder it, then lexicographically by eigenvector entries."""
     ordered = sorted(
         pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v))
     )
@@ -341,7 +342,7 @@ def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
             # overwrites no row still to be read
             vs[r] = vs[i]
             reps.append(p)
-    reps.sort(key=lambda p: (-p.lam, tuple(p.v)))
+    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL), tuple(p.v)))
     return reps
 
 

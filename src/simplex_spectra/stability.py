@@ -1,12 +1,17 @@
 """Second-order classification of Z-eigenpairs.
 
-Two spectra drive the verdicts. The projected Hessian
+Two matrices drive the verdicts. The projected Hessian
 K = P ((m-1) S v^{m-2} - lambda I) P with P = I - v v^T classifies the pair
 as a constrained local max / min / saddle of S v^m on the sphere. The
 power-map Jacobian J = ((m-1)/lambda) (S v^{m-2} - lambda v v^T) classifies
 robustness: the pair is an attracting fixed point of the normalized power map
-exactly when the spectral radius of J is below 1. Both matrices annihilate v
-and are tied together by the identity lambda J = K + lambda (I - v v^T).
+exactly when the spectral radius of J is below 1. Since S v^{m-1} = lambda v,
+both annihilate v and leave v^perp invariant. With Q an orthonormal basis of
+v^perp and the tangent block A = (m-1) Q^T S v^{m-2} Q (``tangent_block``),
+the tangent K spectrum is that of A - lambda and the tangent J spectrum that
+of A / lambda, so one symmetric eigenvalue problem of size n-1 classifies the
+pair. Reports give both spectra at length n, with the exact 0.0 of the
+forced v-mode put back.
 
 For eigenpairs at the vectors of a regular simplex frame everything is known
 in closed form, and ``frame_vector_prediction`` evaluates those formulas in
@@ -28,7 +33,6 @@ from .tensors import SymmetricTensor, apply_m2
 LAMBDA_FLOOR = 1e-8
 STATIONARITY_TOL = 1e-8
 ROBUSTNESS_TOL = 1e-9
-V_MODE_OVERLAP = 0.9
 
 STAT_LOCAL_MAX = "local_max"
 STAT_LOCAL_MIN = "local_min"
@@ -41,63 +45,38 @@ ROB_BOUNDARY = "boundary"
 ROB_UNDEFINED = "undefined"
 
 
-def second_order(tensor: SymmetricTensor, pair: Eigenpair
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """K and J at one eigenpair, both from a single contraction S v^{m-2}.
+def tangent_block(tensor: SymmetricTensor, pair: Eigenpair
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis q of v^perp and a = (m-1) q^T S v^{m-2} q.
 
-    K = P ((m-1) S v^{m-2} - lambda I) P with P = I - v v^T, symmetrized
-    against the roundoff of the two products. J = ((m-1)/lambda)
-    (S v^{m-2} - lambda v v^T) is already exactly symmetric, since
-    apply_m2 and the outer product are; it is None when |lambda| is at or
-    below LAMBDA_FLOOR, where the power map has no Jacobian.
+    q is columns 1..n-1 of the Householder reflector H = I - 2 u u^T / u^T u
+    with u = v + sigma e_0, sigma = +1 when v_0 >= 0 and -1 otherwise; the
+    choice of sigma keeps u^T u = 2 (1 + |v_0|) away from zero, and H e_0 =
+    -sigma v, so the other columns span v^perp. a comes from one contraction
+    and is symmetrized, since eigvalsh reads one triangle only.
     """
-    s = apply_m2(tensor, pair.v)
-    vv = np.outer(pair.v, pair.v)
-    p = np.eye(tensor.dim) - vv
-    k = p @ ((tensor.order - 1) * s - pair.lam * np.eye(tensor.dim)) @ p
-    k = 0.5 * (k + k.T)
-    if abs(pair.lam) <= LAMBDA_FLOOR:
-        return k, None
-    return k, ((tensor.order - 1) / pair.lam) * (s - pair.lam * vv)
+    u = np.array(pair.v)
+    u[0] += 1.0 if u[0] >= 0.0 else -1.0
+    q = np.eye(tensor.dim)[:, 1:] - (2.0 / u.dot(u)) * np.outer(u, u[1:])
+    a = (tensor.order - 1) * (q.T @ apply_m2(tensor, pair.v) @ q)
+    return q, 0.5 * (a + a.T)
 
 
-def _drop_forced_zero(spectrum: np.ndarray, vectors: np.ndarray,
-                      v: np.ndarray) -> Optional[np.ndarray]:
-    """Remove the eigenvalue belonging to the forced v-mode (K v = J v = 0).
+def classify_stationarity(k_spectrum) -> str:
+    """Constrained stationarity from the tangent K spectrum on v^perp.
 
-    The mode is identified by eigenvector overlap |<u, v>| > 0.9; among
-    qualifying modes the one with the smallest magnitude is dropped. Returns
-    None when no eigenvector lines up with v, which callers report as
-    degenerate rather than guessing.
-    """
-    overlaps = np.abs(vectors.T @ v)
-    candidates = np.flatnonzero(overlaps > V_MODE_OVERLAP)
-    if candidates.size == 0:
-        return None
-    drop = candidates[int(np.argmin(np.abs(spectrum[candidates])))]
-    return np.delete(spectrum, drop)
-
-
-def classify_stationarity(k_spectrum, k_vectors, v) -> str:
-    """Constrained stationarity from the projected Hessian spectrum.
-
-    After discarding the forced zero along v: all remaining eigenvalues
-    below -STATIONARITY_TOL is a local max, all above +STATIONARITY_TOL a
-    local min, any within STATIONARITY_TOL of 0 degenerate, otherwise a
-    saddle.
+    All eigenvalues below -STATIONARITY_TOL is a local max, all above
+    +STATIONARITY_TOL a local min, any within STATIONARITY_TOL of 0
+    degenerate, otherwise a saddle.
     """
     spectrum = np.asarray(k_spectrum, dtype=float)
-    rest = _drop_forced_zero(spectrum, np.asarray(k_vectors, dtype=float),
-                             np.asarray(v, dtype=float))
-    if rest is None:
-        return STAT_DEGENERATE
-    if rest.size == 0:
+    if spectrum.size == 0:
         return STAT_LOCAL_MAX  # dim 1: the sphere is two points, both maxima
-    if np.any(np.abs(rest) <= STATIONARITY_TOL):
+    if np.any(np.abs(spectrum) <= STATIONARITY_TOL):
         return STAT_DEGENERATE
-    if np.all(rest < -STATIONARITY_TOL):
+    if np.all(spectrum < -STATIONARITY_TOL):
         return STAT_LOCAL_MAX
-    if np.all(rest > STATIONARITY_TOL):
+    if np.all(spectrum > STATIONARITY_TOL):
         return STAT_LOCAL_MIN
     return STAT_SADDLE
 
@@ -115,21 +94,6 @@ def classify_robustness(j_spectrum, lam: float) -> str:
     if abs(rho - 1.0) <= ROBUSTNESS_TOL:
         return ROB_BOUNDARY
     return ROB_ROBUST if rho < 1.0 else ROB_NOT_ROBUST
-
-
-def lemma_bridge_residual(tensor: SymmetricTensor, pair: Eigenpair) -> float:
-    """Frobenius residual of lambda J = K + lambda (I - v v^T).
-
-    The identity couples the two classification matrices; on a true eigenpair
-    it holds to roundoff. second_order builds K and J by separate formulas
-    from one contraction, so the residual checks those formulas against
-    each other.
-    """
-    k, j = second_order(tensor, pair)
-    if j is None:
-        raise ValueError("bridge identity needs |lambda| above the floor")
-    p = np.eye(tensor.dim) - np.outer(pair.v, pair.v)
-    return float(np.linalg.norm(pair.lam * j - k - pair.lam * p, ord="fro"))
 
 
 @dataclass(frozen=True)
@@ -195,15 +159,22 @@ class StabilityReport:
     robust: str
 
 
+def _with_forced_zero(tangent: np.ndarray) -> np.ndarray:
+    """The full-space spectrum: a tangent spectrum with the exact 0.0 of the
+    forced v-mode put back, in ascending order."""
+    return np.sort(np.concatenate((tangent, [0.0])))
+
+
 def classify_pair(tensor: SymmetricTensor, pair: Eigenpair) -> StabilityReport:
-    """Run both classifiers on one eigenpair and collect the evidence."""
-    k, j = second_order(tensor, pair)
-    k_values, k_vectors = np.linalg.eigh(k)
-    stationarity = classify_stationarity(k_values, k_vectors, pair.v)
-    if j is None:
+    """Run both classifiers on one eigenpair from one tangent spectrum."""
+    values = np.linalg.eigvalsh(tangent_block(tensor, pair)[1])
+    k_tangent = values - pair.lam
+    stationarity = classify_stationarity(k_tangent)
+    k_values = _with_forced_zero(k_tangent)
+    if abs(pair.lam) <= LAMBDA_FLOOR:
         return StabilityReport(pair, k_values, None, None,
                                stationarity, ROB_UNDEFINED)
-    j_values, _ = np.linalg.eigh(j)
+    j_values = _with_forced_zero(values / pair.lam)
     rho = float(np.max(np.abs(j_values)))
     robust = classify_robustness(j_values, pair.lam)
     return StabilityReport(pair, k_values, j_values, rho, stationarity, robust)

@@ -12,6 +12,7 @@ import pytest
 
 from simplex_spectra import (
     SymmetricTensor,
+    apply_m2,
     densify,
     dedup,
     enumerate_2d,
@@ -76,6 +77,25 @@ def drop_v_mode(values, vectors, v):
     """
     idx = int(np.argmax(np.abs(np.asarray(vectors).T @ np.asarray(v))))
     return np.delete(np.asarray(values, dtype=float), idx)
+
+
+def full_space_k_j(tensor, pair):
+    """K and J at one eigenpair, built from their full-space definitions
+    K = P ((m-1) S v^{m-2} - lambda I) P with P = I - v v^T and
+    J = ((m-1)/lambda) (S v^{m-2} - lambda v v^T), both symmetrized."""
+    s = apply_m2(tensor, pair.v)
+    eye = np.eye(tensor.dim)
+    vv = np.outer(pair.v, pair.v)
+    k = (eye - vv) @ ((tensor.order - 1) * s - pair.lam * eye) @ (eye - vv)
+    j = ((tensor.order - 1) / pair.lam) * (s - pair.lam * vv)
+    return 0.5 * (k + k.T), 0.5 * (j + j.T)
+
+
+def reported_spectrum(matrix, v):
+    """Ascending spectrum of a full-space K or J with the forced v-mode
+    replaced by the exact 0.0 that classify_pair reports for it."""
+    values, vectors = np.linalg.eigh(matrix)
+    return np.sort(np.append(drop_v_mode(values, vectors, v), 0.0))
 
 
 def odeco_subset_pair(tensor, subset):

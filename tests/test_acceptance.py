@@ -23,15 +23,14 @@ from simplex_spectra import (
     apply_m1,
     classify_pair,
     conjecture_check,
-    lemma_bridge_residual,
     make_eigenpair,
     regular_simplex_frame,
-    second_order,
     simplex_tensor,
     sweep,
 )
 from simplex_spectra.harness import conjecture_to_payload, sweep_to_payload
-from conftest import drop_v_mode, random_factored
+from conftest import (drop_v_mode, full_space_k_j, random_factored,
+                      reported_spectrum)
 
 GRID = [(n, m) for n in range(2, 7) for m in range(3, 7)]
 
@@ -72,15 +71,19 @@ def test_02_frame_vectors_are_exact_eigenpairs():
 
 def test_03_jacobian_spectrum_at_frame_vectors():
     # J has eigenvalue 0 once and (n+1)(m-1)/(1+(-n)^{m-2} n) with
-    # multiplicity n-1; matched as a sorted multiset within 1e-8.
+    # multiplicity n-1; matched as a sorted multiset within 1e-8, both for
+    # J built from its full-space definition and for the reported spectrum.
     for n, m in GRID:
         w = regular_simplex_frame(n).vectors
         tensor = simplex_tensor(n, m)
         expected = sorted([0.0] + [float(frame_j_eigenvalue(n, m))] * (n - 1))
         for j in range(n + 1):
             pair = make_eigenpair(tensor, w[:, j])
-            values, _ = np.linalg.eigh(second_order(tensor, pair)[1])
+            values = np.linalg.eigvalsh(full_space_k_j(tensor, pair)[1])
             npt.assert_allclose(sorted(values), expected, atol=1e-8,
+                                err_msg=f"(n={n}, m={m}, j={j})")
+            npt.assert_allclose(classify_pair(tensor, pair).j_spectrum,
+                                expected, atol=1e-8,
                                 err_msg=f"(n={n}, m={m}, j={j})")
 
 
@@ -123,19 +126,28 @@ def test_05_robustness_threshold_law():
 
 
 def test_06_bridge_identity_across_the_corpus(eigenpair_corpus):
-    # ||lambda J - K - lambda (I - v v^T)||_F <= 1e-9 (1 + |lambda|) on
-    # every corpus pair, and the sorted tangent spectra satisfy
-    # lambda sigma(J) = sigma(K) + lambda within 1e-8.
+    # On K and J built from their full-space definitions,
+    # ||lambda J - K - lambda (I - v v^T)||_F <= 1e-9 (1 + |lambda|) on every
+    # corpus pair, and their sorted tangent spectra satisfy
+    # lambda sigma(J) = sigma(K) + lambda within 1e-8. classify_pair's
+    # k_spectrum and j_spectrum, from the tangent block, equal those
+    # full-space spectra with the forced v-mode as an exact 0.0, within 1e-8.
     assert len(eigenpair_corpus) >= 500
     for tensor, pair in eigenpair_corpus:
-        bound = 1e-9 * (1.0 + abs(pair.lam))
-        assert lemma_bridge_residual(tensor, pair) <= bound
-        k, j = second_order(tensor, pair)
+        k, j = full_space_k_j(tensor, pair)
+        p = np.eye(tensor.dim) - np.outer(pair.v, pair.v)
+        residual = np.linalg.norm(pair.lam * j - k - pair.lam * p, ord="fro")
+        assert residual <= 1e-9 * (1.0 + abs(pair.lam))
         j_values, j_vectors = np.linalg.eigh(j)
         k_values, k_vectors = np.linalg.eigh(k)
         left = np.sort(pair.lam * drop_v_mode(j_values, j_vectors, pair.v))
         right = np.sort(drop_v_mode(k_values, k_vectors, pair.v) + pair.lam)
         npt.assert_allclose(left, right, atol=1e-8)
+        report = classify_pair(tensor, pair)
+        npt.assert_allclose(report.k_spectrum, reported_spectrum(k, pair.v),
+                            atol=1e-8)
+        npt.assert_allclose(report.j_spectrum, reported_spectrum(j, pair.v),
+                            atol=1e-8)
 
 
 def test_07_robust_pairs_are_local_maxima(eigenpair_corpus):

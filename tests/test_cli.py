@@ -173,6 +173,32 @@ def test_eig_classify_rejects_a_non_finite_pair(tmp_path, capsys):
     assert not reports_path.exists()
 
 
+@pytest.mark.parametrize("doctor", [
+    lambda pair: pair.update({"lambda": 3.0 * pair["lambda"]}),
+    lambda pair: pair.update({"v": list(np.array([1.0, 2.0, 3.0])
+                                        / np.sqrt(14.0))}),
+], ids=["lambda_times_3", "v_not_an_eigenvector"])
+def test_eig_classify_rejects_a_pair_that_is_not_an_eigenpair(
+        tmp_path, capsys, doctor):
+    # Both files keep the stored residual of the solve; only recomputing
+    # S v^{m-1} - lambda v shows that they no longer hold eigenpairs.
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    reports_path = tmp_path / "r.json"
+    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", str(tensor_path))
+    run_cli("eig", "solve", "--tensor", str(tensor_path), "--starts", "20",
+            "--out", str(pairs_path))
+    payload = json.loads(pairs_path.read_text())
+    doctor(payload["pairs"][0])
+    pairs_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("eig", "classify", "--tensor", str(tensor_path),
+                   "--pairs", str(pairs_path), "--out", str(reports_path)) == 1
+    err = capsys.readouterr().err
+    assert "pair 0 " in err and "residual" in err and "ACCEPT_TOL" in err
+    assert not reports_path.exists()
+
+
 def test_eig_enumerate2d_pipeline(tmp_path):
     tensor_path = tmp_path / "t.json"
     pairs_path = tmp_path / "p.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -550,6 +551,22 @@ def test_dedup_orders_by_descending_eigenvalue():
     assert [p.lam for p in reps] == [2.0, 0.1]
 
 
+def test_dedup_order_survives_last_bit_moves_of_lambda():
+    # The (4,6) frame lambdas read 1.0009765625 and 1.0009765625000013;
+    # moving one by a few ulp must not reorder the representatives.
+    t = simplex_tensor(4, 6)
+    w = regular_simplex_frame(4).vectors
+    pairs = [make_eigenpair(t, w[:, j]) for j in range(5)]
+    order = [pairs.index(p) for p in dedup(pairs)]
+    assert sorted(order) == list(range(5))
+    for i in range(5):
+        for ulps in (-3, -2, -1, 1, 2, 3):
+            moved = list(pairs)
+            lam = pairs[i].lam + ulps * math.ulp(pairs[i].lam)
+            moved[i] = dataclasses.replace(pairs[i], lam=lam)
+            assert [moved.index(p) for p in dedup(moved)] == order, (i, ulps)
+
+
 def _reference_same(p, r):
     return (abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL
             and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
@@ -561,7 +578,7 @@ def _reference_dedup(pairs):
     for p in ordered:
         if not any(_reference_same(p, r) for r in reps):
             reps.append(p)
-    reps.sort(key=lambda p: (-p.lam, tuple(p.v)))
+    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL), tuple(p.v)))
     return reps
 
 

@@ -7,12 +7,15 @@ with it; no module depends on the private internals of the stdlib json
 encoder; every import sits at module level, where the dependencies between
 modules are visible; and the solver takes the norm of a single vector with
 its own _norm, because the dispatch of np.linalg.norm costs more than the
-norm of a short vector.
+norm of a short vector. The package's __all__ names exactly what its
+__init__ imports, so a removed export cannot linger in either list.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+import simplex_spectra
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simplex_spectra"
 
@@ -90,3 +93,16 @@ def test_eigensolve_calls_numpy_norm_only_along_an_axis():
         and not any(k.arg == "axis" for k in node.keywords)
     ]
     assert not offenders
+
+
+def test_package_all_matches_its_public_imports():
+    missing = [name for name in simplex_spectra.__all__
+               if not hasattr(simplex_spectra, name)]
+    assert not missing
+    assert len(set(simplex_spectra.__all__)) == len(simplex_spectra.__all__)
+    tree = _modules()["__init__.py"]
+    public = {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if not (alias.asname or alias.name).startswith("_")}
+    unlisted = public - set(simplex_spectra.__all__)
+    assert not unlisted, sorted(unlisted)
