@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--m", type=int, required=True)
     p_conj.add_argument("--starts", type=int, default=2000,
-                        help="power-iteration starts (n >= 3 only)")
+                        help="power-iteration starts that witness the "
+                             "attracting pairs; the inventory comes from a "
+                             "2000-point sphere-grid Newton (n >= 3 only)")
     p_conj.add_argument("--seed", type=int, default=0,
                         help="seed of the random starts (n >= 3 only)")
     p_conj.add_argument("--grid", type=int, default=720,

@@ -436,8 +436,9 @@ class SolveSummary:
     """Multi-start outcome. ``basin_counts[i]`` tallies the starts whose power
     iteration converged to ``pairs[i]``; pairs recovered only by Newton rescue
     from a non-converged trajectory carry a count of zero. ``failures`` counts
-    the starts whose power iteration did not converge (rescued or not) plus
-    the converged starts whose Newton polish failed."""
+    the starts whose power iteration did not converge (whether or not they
+    were handed to the rescue) plus the converged starts whose Newton polish
+    failed. Without the rescue, every pair has a positive count."""
 
     pairs: List[Eigenpair]
     basin_counts: List[int]
@@ -446,13 +447,20 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                tol: float = 1e-12, max_iter: int = 5000) -> SolveSummary:
+                tol: float = 1e-12, max_iter: int = 5000,
+                rescue: bool = True) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
     Start i draws from the substream seeded by (seed, i), so results do not
     depend on execution order and identical arguments reproduce the identical
-    summary. Non-converged trajectories are still handed to Newton, which
-    often recovers repelling pairs the power map cannot settle on.
+    summary. With ``rescue`` (the default), the last iterate of a trajectory
+    that did not converge is handed to Newton, which often recovers repelling
+    pairs the power map cannot settle on; ``eig solve`` relies on this, since
+    there these starts are the whole inventory. With ``rescue=False`` such a
+    start only counts in ``failures``, and the summary holds the attracting
+    pairs the power map converged to: the witness a caller wants when another
+    search, such as the sphere grid of ``conjecture_check``, gives the
+    inventory.
     """
     if starts < 1:
         raise ValueError("multi_start needs at least one start")
@@ -477,10 +485,11 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
                 failures += 1
         else:
             failures += 1
-            try:
-                rescued.append(newton_refine(tensor, run.last))
-            except RefinementError:
-                pass
+            if rescue:
+                try:
+                    rescued.append(newton_refine(tensor, run.last))
+                except RefinementError:
+                    pass
     pairs = dedup(converged + rescued)
     return SolveSummary(pairs, _basin_counts(pairs, converged), failures,
                         starts)

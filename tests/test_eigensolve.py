@@ -755,6 +755,35 @@ def test_multi_start_rescues_repelling_pairs_with_newton():
         npt.assert_allclose(p.lam, 0.75, atol=1e-10)
 
 
+def test_multi_start_without_rescue_keeps_only_converged_starts():
+    # every start of the (3,3) simplex cubic cycles, so nothing is left
+    summary = multi_start(simplex_tensor(3, 3), 100, seed=0, max_iter=400,
+                          rescue=False)
+    assert summary.pairs == []
+    assert summary.basin_counts == []
+    assert summary.failures == 100
+
+
+def test_the_sphere_grid_holds_every_pair_the_rescue_finds():
+    # conjecture_check leaves the rescue out because its grid Newton already
+    # reaches every pair that the rescue of cycling starts reaches
+    t = simplex_tensor(3, 3)
+    grid = []
+    for point in sphere_grid(3, 2000):
+        try:
+            grid.append(newton_refine(t, point))
+        except RefinementError:
+            pass
+    inventory = dedup(grid)
+    assert len(inventory) == 7  # ((m-1)^n - 1)/(m - 2), Cartwright-Sturmfels
+    rescued = multi_start(t, starts=200, seed=0)
+    assert rescued.failures == 200 and rescued.pairs
+    for p in rescued.pairs:
+        assert any(abs(p.lam - q.lam) <= MATCH_LAMBDA_TOL
+                   and angle_between(p.v, q.v) <= MATCH_ANGLE_TOL
+                   for q in inventory)
+
+
 def test_multi_start_is_deterministic():
     t = simplex_tensor(3, 4)
     a = multi_start(t, starts=60, seed=3)

@@ -19,7 +19,7 @@ from simplex_spectra import (
     sweep,
     validate_sweep_row,
 )
-from simplex_spectra import frames, harness
+from simplex_spectra import eigensolve, frames, harness
 from simplex_spectra.harness import sweep_to_payload
 
 GRID_N = range(2, 7)
@@ -181,6 +181,31 @@ def test_conjecture_counts_each_zero_eigenvalue_class_once():
     # of a lambda = 0 direction used to be kept as two classes.
     report = conjecture_check(3, 3, starts=200, newton_seeds=200, seed=0)
     assert report.found_pairs == 7
+
+
+def test_conjecture_newton_polishes_converged_starts_only(monkeypatch):
+    # eigensolve.newton_refine is the name multi_start calls; the sphere grid
+    # calls harness.newton_refine
+    calls = {"polish": 0, "grid": 0}
+
+    def counting(key, inner):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(eigensolve, "newton_refine",
+                        counting("polish", eigensolve.newton_refine))
+    monkeypatch.setattr(harness, "newton_refine",
+                        counting("grid", harness.newton_refine))
+    # every (3,3) start cycles: none is polished, the grid finds all 7 pairs
+    report = conjecture_check(3, 3, starts=50, newton_seeds=50)
+    assert calls == {"polish": 0, "grid": 50}
+    assert report.found_pairs == 7
+    # every (3,4) start converges and is polished
+    calls.update(polish=0, grid=0)
+    conjecture_check(3, 4, starts=50, newton_seeds=50)
+    assert calls == {"polish": 50, "grid": 50}
 
 
 def test_conjecture_rejects_out_of_range_cells():
