@@ -34,6 +34,10 @@ from .tensors import (UNIT_NORM_TOL, SymmetricTensor, apply_m, apply_m1,
 
 ACCEPT_TOL = 1e-10
 DEGENERATE_CONTRACTION_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+# _newton_starts steps this many seeds at a time, which bounds its stacked
+# arrays, and so its peak memory, whatever the number of seeds
+_NEWTON_BLOCK = 256
 # Two canonicalized pairs are the same pair when both their eigenvalues and
 # their eigenvector directions agree within these.
 MATCH_LAMBDA_TOL = 1e-8
@@ -218,7 +222,8 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
     return PowerResult(STATUS_MAX_ITER, None, max_iter, cur)
 
 
-def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
+def newton_refine(tensor: SymmetricTensor, v0,
+                  max_iter: int = _NEWTON_MAX_ITER) -> Eigenpair:
     """Newton's method on F(v, lambda) = (S v^{m-1} - lambda v, v.v - 1).
 
     The linearization is the bordered system
@@ -237,6 +242,10 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
     Stepping on the sphere, or resetting lambda to the Rayleigh quotient,
     would be cheaper per seed, but takes other paths that land elsewhere
     near singular pairs.
+
+    _newton_starts runs the same iteration on many seeds at once, one
+    stacked solve per step. Its endpoints come back here one by one, so
+    each pair is still accepted, and signed, by this function.
     """
     if max_iter < 0:
         raise ValueError("newton refinement needs max_iter >= 0")
@@ -301,6 +310,96 @@ def newton_refine(tensor: SymmetricTensor, v0, max_iter: int = 50) -> Eigenpair:
     )
 
 
+def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of each system on its own: NaN rows where a system
+    is singular, which the stacked solve reports for the whole stack."""
+    out = np.full(rhs.shape, math.nan)
+    for i, (a, b) in enumerate(zip(systems, rhs)):
+        try:
+            out[i] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def _newton_block(tensor: SymmetricTensor,
+                  starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """newton_refine's iteration on every row of ``starts`` (B, n) at once.
+
+    Each step makes one batched S u^{m-2} and one stacked solve of the
+    bordered systems, with the raw iterates, their Newton-updated lambdas
+    and the step cap of newton_refine. A row is retired when its residual
+    is at most ACCEPT_TOL, and dropped when it runs out of steps, meets a
+    singular system or a non-finite step, or collapses to zero. Returns the
+    normalized iterate at which each row was retired, and the mask of the
+    rows that were; the other rows of the first array are unset.
+    """
+    count, n = starts.shape
+    m = tensor.order
+    ends = np.empty((count, n))
+    accepted = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    v = starts / np.sqrt(np.vecdot(starts, starts))[:, None]
+    vv = np.vecdot(v, v)
+    norm = np.sqrt(vv)
+    lam = apply_m(tensor, v.T)
+    # the zero corner of every system is never written; rhs is -F(v, lambda)
+    bordered = np.zeros((count, n + 1, n + 1))
+    rhs = np.empty((count, n + 1, 1))
+    for k in range(_NEWTON_MAX_ITER + 1):
+        u = v / norm[:, None]
+        s = apply_m2(tensor, u.T)
+        g = np.matmul(s, u[:, :, None])[:, :, 0]
+        r = g - np.vecdot(u, g)[:, None] * u
+        done = np.sqrt(np.vecdot(r, r)) <= ACCEPT_TOL
+        ends[live[done]] = u[done]
+        accepted[live[done]] = True
+        going = ~done
+        if k == _NEWTON_MAX_ITER or not going.any():
+            break
+        live, v, vv, norm, lam, s, g = (
+            x[going] for x in (live, v, vv, norm, lam, s, g))
+        b = live.size
+        system, right = bordered[:b], rhs[:b]
+        scale = norm ** (m - 2)
+        system[:, :n, :n] = s * ((m - 1) * scale)[:, None, None]
+        system.reshape(b, -1)[:, :n * (n + 2):n + 2] -= lam[:, None]
+        system[:, :n, n] = -v
+        system[:, n, :n] = 2.0 * v
+        right[:, :n, 0] = lam[:, None] * v - g * (scale * norm)[:, None]
+        right[:, n, 0] = 1.0 - vv
+        try:
+            step = np.linalg.solve(system, right)[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = _solve_each(system, right)[:, :, 0]
+        v = v + step[:, :n]
+        lam = lam + step[:, n]
+        vv = np.vecdot(v, v)
+        norm = np.sqrt(vv)
+        going = np.isfinite(step).all(axis=1) & (norm != 0.0)
+        live, v, vv, norm, lam = (x[going] for x in (live, v, vv, norm, lam))
+        if not live.size:
+            break
+    return ends, accepted
+
+
+def _newton_starts(tensor: SymmetricTensor,
+                   points: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """A start for newton_refine per point, in order: the point's endpoint
+    where _newton_block retired it, so newton_refine checks and accepts it,
+    normally after zero steps, and the point itself where the block gave
+    up on it, so newton_refine takes the path, and raises the error, that
+    it takes from the point. _newton_block takes _NEWTON_BLOCK points at
+    a time."""
+    starts = list(points)
+    for lo in range(0, len(starts), _NEWTON_BLOCK):
+        ends, accepted = _newton_block(
+            tensor, np.array(starts[lo:lo + _NEWTON_BLOCK], dtype=float))
+        for i in accepted.nonzero()[0]:
+            starts[lo + i] = ends[i]
+    return starts
+
+
 def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
                  vs: np.ndarray) -> int:
     """Index of the first of ``reps`` that p matches, or -1. Two pairs match
@@ -327,9 +426,10 @@ def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
 
 def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
     """Merge canonicalized duplicates; keep the representative with the
-    smallest KKT residual. Output is sorted by descending lambda, rounded
-    to a multiple of MATCH_LAMBDA_TOL so that last-bit differences cannot
-    reorder it, then lexicographically by eigenvector entries."""
+    smallest KKT residual. Output is sorted by descending lambda, then
+    lexicographically by eigenvector entries, each rounded to a multiple of
+    MATCH_LAMBDA_TOL or MATCH_ANGLE_TOL so that last-bit differences cannot
+    reorder it, and last by the raw entries."""
     ordered = sorted(
         pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v))
     )
@@ -342,7 +442,14 @@ def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
             # overwrites no row still to be read
             vs[r] = vs[i]
             reps.append(p)
-    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL), tuple(p.v)))
+
+    def order(p: Eigenpair):
+        # rounding Python floats costs a fifth of rounding numpy scalars
+        v = p.v.tolist()
+        return (-round(p.lam / MATCH_LAMBDA_TOL),
+                tuple([round(x / MATCH_ANGLE_TOL) for x in v]), tuple(v))
+
+    reps.sort(key=order)
     return reps
 
 

@@ -17,6 +17,7 @@ from .eigensolve import (
     Eigenpair,
     RefinementError,
     SOURCE_CLOSED,
+    _newton_starts,
     angle_between,
     dedup,
     enumerate_2d,
@@ -160,6 +161,9 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
     verdict is an actual proof at this scale. For n >= 3 the inventory is
     Newton's method from ``newton_seeds`` points of a deterministic sphere
     grid, which reaches repelling pairs as well as attracting ones. The
+    grid is stepped in batches, one stacked solve per step, and then each
+    seed's endpoint, or the seed itself where the batch gave up on it,
+    goes through newton_refine, which accepts the pair. The
     ``starts`` random power-iteration starts witness the attracting (robust)
     pairs: each start that converges is Newton-polished and added, and a start
     that does not converge is dropped, not Newton-rescued. That inventory is a
@@ -184,9 +188,9 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
         summary = multi_start(tensor, starts=starts, seed=seed,
                               max_iter=POWER_MAX_ITER, rescue=False)
         gathered = list(summary.pairs)
-        for point in sphere_grid(n, newton_seeds):
+        for start in _newton_starts(tensor, sphere_grid(n, newton_seeds)):
             try:
-                gathered.append(newton_refine(tensor, point))
+                gathered.append(newton_refine(tensor, start))
             except RefinementError:
                 continue
         pairs = dedup(gathered)

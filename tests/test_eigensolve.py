@@ -17,9 +17,11 @@ from simplex_spectra import (
     apply_m1,
     apply_m2,
     canonical_sign,
+    classify_pair,
     dedup,
     densify,
     enumerate_2d,
+    from_rank_one_sum,
     make_eigenpair,
     multi_start,
     newton_refine,
@@ -35,6 +37,7 @@ from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
                                         SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
+from simplex_spectra.stability import ROB_ROBUST
 from conftest import odeco_tensor, random_factored
 
 
@@ -438,6 +441,87 @@ def test_newton_refine_agrees_on_dense_and_factored_storage():
     assert steps > 0
 
 
+def _grid_inventory(tensor, starts):
+    pairs = []
+    for start in starts:
+        try:
+            pairs.append(newton_refine(tensor, start))
+        except RefinementError:
+            continue
+    return dedup(pairs)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (3, 5), (3, 6),
+                                  (4, 3), (4, 4), (4, 5)])
+def test_batched_grid_newton_finds_the_scalar_inventory(n, m):
+    t = simplex_tensor(n, m)
+    points = sphere_grid(n, 2000)
+    scalar = _grid_inventory(t, points)
+    batched = _grid_inventory(t, eigensolve._newton_starts(t, points))
+    assert len(batched) == len(scalar)
+    assert all(_reference_same(p, q) for p, q in zip(batched, scalar))
+
+
+def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
+    # at (4,6) the endpoints near the singular pairs at lambda = 125/1024
+    # depend on last bits, so only the eigenvalue classes and the robust
+    # pairs are held fixed there
+    t = simplex_tensor(4, 6)
+    points = sphere_grid(4, 2000)
+    scalar = _grid_inventory(t, points)
+    batched = _grid_inventory(t, eigensolve._newton_starts(t, points))
+    for a, b in ((scalar, batched), (batched, scalar)):
+        assert all(any(abs(p.lam - q.lam) <= MATCH_LAMBDA_TOL for q in b)
+                   for p in a)
+    robust = [[p for p in pairs if classify_pair(t, p).robust == ROB_ROBUST]
+              for pairs in (scalar, batched)]
+    assert len(robust[0]) == len(robust[1]) == 5
+    assert all(_reference_same(p, q) for p, q in zip(*robust))
+
+
+def _diagonal_quadratic():
+    # S = e1 e1^T - e2 e2^T: at (1, 1)/sqrt(2), lambda = 0 and (1, -1) is a
+    # null direction of the bordered system, which LU meets exactly
+    return from_rank_one_sum([(1.0, [1.0, 0.0]), (-1.0, [0.0, 1.0])], 2)
+
+
+@pytest.mark.parametrize("build, points, bad, singular", [
+    (_diagonal_quadratic,
+     [unit([1.0, 0.3]), unit([0.2, 1.0]), unit([1.0, 1.0]),
+      unit([1.0, -0.6]), unit([-0.4, 1.0])], 2, True),
+    # grid seed 34 of (3,5) runs through all 50 Newton steps
+    (lambda: simplex_tensor(3, 5), sphere_grid(3, 2000)[30:40], 4, False),
+], ids=["singular", "out-of-steps"])
+def test_newton_starts_hand_a_failing_seed_back_unchanged(
+        build, points, bad, singular, monkeypatch):
+    t = build()
+    with pytest.raises(RefinementError) as today:
+        newton_refine(t, points[bad])
+    solved_each = []
+
+    def spy(systems, rhs, _inner=eigensolve._solve_each):
+        solved_each.append(len(systems))
+        return _inner(systems, rhs)
+
+    monkeypatch.setattr(eigensolve, "_solve_each", spy)
+    starts = eigensolve._newton_starts(t, points)
+    assert bool(solved_each) == singular
+    assert starts[bad] is points[bad]
+    with pytest.raises(RefinementError) as err:
+        newton_refine(t, starts[bad])
+    assert str(err.value) == str(today.value)
+    assert err.value.residual == today.value.residual
+    rest = points[:bad] + points[bad + 1:]
+    others = starts[:bad] + starts[bad + 1:]
+    alone = eigensolve._newton_starts(t, rest)
+    # BLAS may sum a row of the batched contraction in another order when
+    # the batch has another size, so endpoints agree to roundoff, not bits
+    npt.assert_allclose(others, alone, rtol=0, atol=1e-14)
+    for start, point in zip(others, rest):
+        assert start is not point
+        assert newton_refine(t, start).iterations == 0
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -567,6 +651,26 @@ def test_dedup_order_survives_last_bit_moves_of_lambda():
             assert [moved.index(p) for p in dedup(moved)] == order, (i, ulps)
 
 
+def test_dedup_order_survives_last_bit_moves_of_v():
+    # The first entries of two (3,5) frame vectors can read
+    # -0.33333333333333337 and -0.3333333333333333; moving an entry by a
+    # few ulp must not reorder the representatives.
+    t = simplex_tensor(3, 5)
+    w = regular_simplex_frame(3).vectors
+    pairs = [make_eigenpair(t, w[:, j]) for j in range(4)]
+    order = [pairs.index(p) for p in dedup(pairs)]
+    assert sorted(order) == list(range(4))
+    for i in range(4):
+        for k in range(3):
+            for ulps in (-3, -2, -1, 1, 2, 3):
+                v = pairs[i].v.copy()
+                v[k] += ulps * math.ulp(v[k])
+                moved = list(pairs)
+                moved[i] = dataclasses.replace(pairs[i], v=v)
+                assert [moved.index(p) for p in dedup(moved)] == order, \
+                    (i, k, ulps)
+
+
 def _reference_same(p, r):
     return (abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL
             and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
@@ -578,7 +682,9 @@ def _reference_dedup(pairs):
     for p in ordered:
         if not any(_reference_same(p, r) for r in reps):
             reps.append(p)
-    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL), tuple(p.v)))
+    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL),
+                             tuple(round(x / MATCH_ANGLE_TOL) for x in p.v),
+                             tuple(p.v)))
     return reps
 
 

@@ -208,6 +208,24 @@ def test_conjecture_newton_polishes_converged_starts_only(monkeypatch):
     assert calls == {"polish": 50, "grid": 50}
 
 
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 4)])
+def test_conjecture_accepts_each_batched_grid_endpoint_as_it_is(n, m,
+                                                              monkeypatch):
+    # the grid is stepped in batches; newton_refine then checks each seed's
+    # endpoint, once per seed, and takes no step of its own
+    steps = []
+    refine = harness.newton_refine
+
+    def recording(*args, **kwargs):
+        pair = refine(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(harness, "newton_refine", recording)
+    conjecture_check(n, m, starts=20, newton_seeds=200)
+    assert steps == [0] * 200
+
+
 def test_conjecture_rejects_out_of_range_cells():
     with pytest.raises(ValueError):
         conjecture_check(5, 3)
