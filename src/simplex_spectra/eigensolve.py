@@ -38,6 +38,13 @@ _NEWTON_MAX_ITER = 50
 # _newton_starts steps this many seeds at a time, which bounds its stacked
 # arrays, and so its peak memory, whatever the number of seeds
 _NEWTON_BLOCK = 256
+# The ways _newton_block gives up on a row: its failure code indexes the
+# RefinementError message, formatted with the row's step count.
+_OUT_OF_STEPS, _SINGULAR, _NON_FINITE, _COLLAPSED = 1, 2, 3, 4
+_NEWTON_FAILURES = ("", "no convergence within {} Newton steps",
+                    "singular linearization after {} steps",
+                    "non-finite Newton step after {} steps",
+                    "iterate collapsed to zero")
 # Two canonicalized pairs are the same pair when both their eigenvalues and
 # their eigenvector directions agree within these.
 MATCH_LAMBDA_TOL = 1e-8
@@ -231,134 +238,111 @@ def newton_refine(tensor: SymmetricTensor, v0,
         [ 2 v^T                         0 ].
     Convergence is judged on the KKT residual of the normalized iterate
     u = v / |v|, so a start that already satisfies it is returned after zero
-    steps, as the canonical pair (S u^m, u).
-
-    One contraction per iterate serves both points. With s = S u^{m-2},
-    g = s u = S u^{m-1} and S u^m = u.g give the residual at u, and since
-    S is homogeneous, S v^{m-2} = |v|^{m-2} s and S v^{m-1} = |v|^{m-1} g
-    give the bordered system at v. The raw iterate v, its Newton-updated
-    lambda and the v.v - 1 row are kept, so the path is the one that
-    separate contractions at u and at v would take, up to their last bits.
-    Stepping on the sphere, or resetting lambda to the Rayleigh quotient,
-    would be cheaper per seed, but takes other paths that land elsewhere
-    near singular pairs.
-
-    _newton_starts runs the same iteration on many seeds at once, one
-    stacked solve per step. Its endpoints come back here one by one, so
-    each pair is still accepted, and signed, by this function.
+    steps, as the canonical pair (S u^m, u), from one contraction. Any other
+    start goes to _newton_block as a batch of one, with that contraction;
+    where the block gives up, RefinementError carries the best residual
+    seen. The grid endpoints of _newton_starts come back here one by one, so
+    each pair is accepted, and signed, by this function.
     """
     if max_iter < 0:
         raise ValueError("newton refinement needs max_iter >= 0")
-    n, m = tensor.dim, tensor.order
     v = _unit_start(v0)
-    vv = v.dot(v)
-    norm = math.sqrt(vv)
-    lam = apply_m(tensor, v)
-    best: Optional[float] = None
-    # every entry but the zero corner is rewritten in place before each
-    # solve, through these views; rhs is -F(v, lambda)
-    bordered = np.zeros((n + 1, n + 1))
-    block = bordered[:n, :n]
-    diagonal = bordered.ravel()[:n * (n + 2):n + 2]
-    column = bordered[:n, n]
-    row = bordered[n, :n]
-    rhs = np.empty(n + 1)
-    top = rhs[:n]
-    for k in range(max_iter + 1):
-        u = v / norm
-        s = apply_m2(tensor, u)
-        g = s.dot(u)
-        lam_u = float(u.dot(g))
-        residual = _norm(g - lam_u * u)
-        if residual <= ACCEPT_TOL:
-            # a sign flip leaves the residual's bits as they are
-            lam_u, u = canonical_sign(lam_u, u, m)
-            return Eigenpair(lam=lam_u, v=u, kkt_residual=residual,
-                             iterations=k, source=SOURCE_NEWTON)
-        best = residual if best is None else min(best, residual)
-        if k == max_iter:
-            break
-        scale = norm ** (m - 2)
-        # a ufunc writing into the strided block through out= costs more
-        # than the same product copied into it
-        block[...] = s * ((m - 1) * scale)
-        diagonal -= lam
-        np.negative(v, out=column)
-        np.multiply(v, 2.0, out=row)
-        np.multiply(g, scale * norm, out=top)
-        np.subtract(lam * v, top, out=top)
-        rhs[n] = 1.0 - vv
-        try:
-            step = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RefinementError(
-                f"singular linearization after {k} steps", residual=best
-            ) from exc
-        # on n + 1 entries the builtins beat the dispatch of ndarray.all
-        if not all(map(math.isfinite, step.tolist())):
-            raise RefinementError(
-                f"non-finite Newton step after {k} steps", residual=best
-            )
-        v = v + step[:n]
-        lam = lam + float(step[n])
-        vv = v.dot(v)
-        norm = math.sqrt(vv)
-        if norm == 0.0:
-            raise RefinementError("iterate collapsed to zero", residual=best)
-    raise RefinementError(
-        f"no convergence within {max_iter} Newton steps", residual=best
-    )
+    u = v / math.sqrt(v.dot(v))
+    s = apply_m2(tensor, u)
+    g = s.dot(u)
+    lam_u = float(u.dot(g))
+    residual = _norm(g - lam_u * u)
+    k = 0
+    if not residual <= ACCEPT_TOL:
+        start = (s[None], g[None], np.array([lam_u]), np.array([residual]))
+        ends, lams, residuals, steps, failure, best = _newton_block(
+            tensor, v[None], max_iter, start)
+        k = int(steps[0])
+        if failure[0]:
+            raise RefinementError(_NEWTON_FAILURES[failure[0]].format(k),
+                                  residual=float(best[0]))
+        u, lam_u, residual = ends[0], float(lams[0]), float(residuals[0])
+    # a sign flip leaves the residual's bits as they are
+    lam_u, u = canonical_sign(lam_u, u, tensor.order)
+    return Eigenpair(lam=lam_u, v=u, kkt_residual=residual, iterations=k,
+                     source=SOURCE_NEWTON)
 
 
-def _solve_each(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of each system on its own: NaN rows where a system
-    is singular, which the stacked solve reports for the whole stack."""
+def _contract(tensor: SymmetricTensor, u: np.ndarray):
+    """At each row of u (B, n): s = S u^{m-2}, g = s u = S u^{m-1},
+    lambda_u = u.g and the KKT residual |g - lambda_u u|."""
+    s = apply_m2(tensor, u.T)
+    g = np.matmul(s, u[:, :, None])[:, :, 0]
+    lam_u = np.vecdot(u, g)
+    r = g - lam_u[:, None] * u
+    return s, g, lam_u, np.sqrt(np.vecdot(r, r))
+
+
+def _solve_each(systems: np.ndarray, rhs: np.ndarray):
+    """np.linalg.solve of each system on its own, where the stacked solve
+    found one singular: the solutions, NaN where singular, and that mask."""
     out = np.full(rhs.shape, math.nan)
+    singular = np.zeros(len(systems), dtype=bool)
     for i, (a, b) in enumerate(zip(systems, rhs)):
         try:
             out[i] = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
-            pass
-    return out
+            singular[i] = True
+    return out, singular
 
 
-def _newton_block(tensor: SymmetricTensor,
-                  starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """newton_refine's iteration on every row of ``starts`` (B, n) at once.
+def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
+                  start: Optional[Tuple[np.ndarray, ...]] = None) -> tuple:
+    """newton_refine's iteration on every row of v (B, n) at once: the one
+    place where a Newton step is taken. ``start`` holds _contract at the
+    starts when the caller has it.
 
-    Each step makes one batched S u^{m-2} and one stacked solve of the
-    bordered systems, with the raw iterates, their Newton-updated lambdas
-    and the step cap of newton_refine. A row is retired when its residual
-    is at most ACCEPT_TOL, and dropped when it runs out of steps, meets a
-    singular system or a non-finite step, or collapses to zero. Returns the
-    normalized iterate at which each row was retired, and the mask of the
-    rows that were; the other rows of the first array are unset.
+    With s = S u^{m-2} at u = v / |v|, g = s u = S u^{m-1} and u.g give the
+    residual at u, and since S is homogeneous, |v|^{m-2} s and |v|^{m-1} g
+    give the bordered system at the raw iterate v, so each step makes one
+    batched contraction and one stacked solve. The raw iterates, their
+    Newton-updated lambdas and the v.v - 1 row are kept: stepping on the
+    sphere, or resetting lambda to the Rayleigh quotient, is cheaper per
+    seed but lands elsewhere near singular pairs.
+
+    A row is retired at a residual of at most ACCEPT_TOL, and fails when it
+    runs out of its max_iter steps, meets a singular system or a non-finite
+    step, or collapses to zero. The live arrays are compressed only on a
+    step where some row leaves. Returns per row u, lambda_u, the residual
+    and the step count, the failure code (0 where retired, else an index
+    into _NEWTON_FAILURES) and the best residual seen where it failed.
     """
-    count, n = starts.shape
+    count, n = v.shape
     m = tensor.order
     ends = np.empty((count, n))
-    accepted = np.zeros(count, dtype=bool)
+    lams, residuals, best = np.empty(count), np.empty(count), np.empty(count)
+    steps = np.full(count, max_iter)
+    failure = np.full(count, _OUT_OF_STEPS)
     live = np.arange(count)
-    v = starts / np.sqrt(np.vecdot(starts, starts))[:, None]
     vv = np.vecdot(v, v)
     norm = np.sqrt(vv)
     lam = apply_m(tensor, v.T)
+    u = v / norm[:, None]
+    s, g, lam_u, residual = _contract(tensor, u) if start is None else start
+    low = residual
     # the zero corner of every system is never written; rhs is -F(v, lambda)
     bordered = np.zeros((count, n + 1, n + 1))
     rhs = np.empty((count, n + 1, 1))
-    for k in range(_NEWTON_MAX_ITER + 1):
-        u = v / norm[:, None]
-        s = apply_m2(tensor, u.T)
-        g = np.matmul(s, u[:, :, None])[:, :, 0]
-        r = g - np.vecdot(u, g)[:, None] * u
-        done = np.sqrt(np.vecdot(r, r)) <= ACCEPT_TOL
-        ends[live[done]] = u[done]
-        accepted[live[done]] = True
-        going = ~done
-        if k == _NEWTON_MAX_ITER or not going.any():
+    for k in range(max_iter + 1):
+        done = residual <= ACCEPT_TOL
+        if done.any():
+            rows = live[done]
+            ends[rows], lams[rows], residuals[rows] = (
+                u[done], lam_u[done], residual[done])
+            steps[rows], failure[rows] = k, 0
+            if done.all():
+                break
+            going = ~done
+            live, v, vv, norm, lam, s, g, low = (
+                x[going] for x in (live, v, vv, norm, lam, s, g, low))
+        if k == max_iter:
+            best[live] = low
             break
-        live, v, vv, norm, lam, s, g = (
-            x[going] for x in (live, v, vv, norm, lam, s, g))
         b = live.size
         system, right = bordered[:b], rhs[:b]
         scale = norm ** (m - 2)
@@ -369,18 +353,30 @@ def _newton_block(tensor: SymmetricTensor,
         right[:, :n, 0] = lam[:, None] * v - g * (scale * norm)[:, None]
         right[:, n, 0] = 1.0 - vv
         try:
-            step = np.linalg.solve(system, right)[:, :, 0]
+            step, singular = np.linalg.solve(system, right), False
         except np.linalg.LinAlgError:
-            step = _solve_each(system, right)[:, :, 0]
+            step, singular = _solve_each(system, right)
+        step = step[:, :, 0]
         v = v + step[:, :n]
         lam = lam + step[:, n]
         vv = np.vecdot(v, v)
         norm = np.sqrt(vv)
-        going = np.isfinite(step).all(axis=1) & (norm != 0.0)
-        live, v, vv, norm, lam = (x[going] for x in (live, v, vv, norm, lam))
-        if not live.size:
-            break
-    return ends, accepted
+        finite = np.isfinite(step).all(axis=1)
+        bad = ~finite | (norm == 0.0)
+        if bad.any():
+            rows = live[bad]
+            failure[rows] = np.where(singular, _SINGULAR, np.where(
+                finite, _COLLAPSED, _NON_FINITE))[bad]
+            steps[rows], best[rows] = k, low[bad]
+            if bad.all():
+                break
+            going = ~bad
+            live, v, vv, norm, lam, low = (
+                x[going] for x in (live, v, vv, norm, lam, low))
+        u = v / norm[:, None]
+        s, g, lam_u, residual = _contract(tensor, u)
+        low = np.fmin(low, residual)
+    return ends, lams, residuals, steps, failure, best
 
 
 def _newton_starts(tensor: SymmetricTensor,
@@ -388,14 +384,16 @@ def _newton_starts(tensor: SymmetricTensor,
     """A start for newton_refine per point, in order: the point's endpoint
     where _newton_block retired it, so newton_refine checks and accepts it,
     normally after zero steps, and the point itself where the block gave
-    up on it, so newton_refine takes the path, and raises the error, that
-    it takes from the point. _newton_block takes _NEWTON_BLOCK points at
-    a time."""
+    up on it, so newton_refine steps it again from there, as a batch of
+    one, and raises the error it meets. _newton_block takes _NEWTON_BLOCK
+    points at a time, each with newton_refine's default step cap."""
     starts = list(points)
     for lo in range(0, len(starts), _NEWTON_BLOCK):
-        ends, accepted = _newton_block(
-            tensor, np.array(starts[lo:lo + _NEWTON_BLOCK], dtype=float))
-        for i in accepted.nonzero()[0]:
+        block = np.array(starts[lo:lo + _NEWTON_BLOCK], dtype=float)
+        ends, _, _, _, failure, _ = _newton_block(
+            tensor, block / np.sqrt(np.vecdot(block, block))[:, None],
+            _NEWTON_MAX_ITER)
+        for i in (failure == 0).nonzero()[0]:
             starts[lo + i] = ends[i]
     return starts
 

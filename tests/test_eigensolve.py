@@ -220,9 +220,17 @@ def test_newton_refine_returns_exact_input_untouched():
 
 def test_newton_refine_raises_with_best_residual_on_budget_exhaustion():
     t = simplex_tensor(2, 3)
+    u = unit([np.cos(1.0), np.sin(1.0)])
     with pytest.raises(RefinementError) as err:
-        newton_refine(t, unit([np.cos(1.0), np.sin(1.0)]), max_iter=0)
+        newton_refine(t, u, max_iter=0)
+    assert str(err.value) == "no convergence within 0 Newton steps"
+    start = eigensolve._norm(apply_m1(t, u) - apply_m(t, u) * u)
+    assert err.value.residual == pytest.approx(start, rel=1e-12)
     assert err.value.residual > 1e-10
+    with pytest.raises(RefinementError) as err:
+        newton_refine(simplex_tensor(3, 5), sphere_grid(3, 2000)[34])
+    assert str(err.value) == "no convergence within 50 Newton steps"
+    assert err.value.residual == pytest.approx(0.14893048471130207, rel=1e-9)
 
 
 def test_newton_refine_rejects_a_negative_budget():
@@ -250,6 +258,27 @@ def test_newton_refine_makes_one_contraction_per_iterate(monkeypatch):
                              "apply_m2": pair.iterations + 1}
             steps += pair.iterations
     assert steps > 0
+    # a start that is already a pair is accepted from one contraction, with
+    # no S v^m for a Newton lambda
+    t = simplex_tensor(3, 4)
+    for w in regular_simplex_frame(3).vectors.T:
+        calls.update(apply_m=0, apply_m1=0, apply_m2=0)
+        assert newton_refine(t, w).iterations == 0
+        assert calls == {"apply_m": 0, "apply_m1": 0, "apply_m2": 1}
+
+
+def _diagonal_quadratic():
+    # S = e1 e1^T - e2 e2^T: at (1, 1)/sqrt(2), lambda = 0 and (1, -1) is a
+    # null direction of the bordered system, which LU meets exactly
+    return from_rank_one_sum([(1.0, [1.0, 0.0]), (-1.0, [0.0, 1.0])], 2)
+
+
+def test_newton_refine_reports_a_singular_linearization():
+    # the start's residual, |S v - 0 v| = |(1, -1)/sqrt(2)| = 1, is the best
+    with pytest.raises(RefinementError) as err:
+        newton_refine(_diagonal_quadratic(), unit([1.0, 1.0]))
+    assert str(err.value) == "singular linearization after 0 steps"
+    assert err.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
 def _two_point_newton(tensor, v0, max_iter=50):
@@ -293,21 +322,18 @@ def _two_point_newton(tensor, v0, max_iter=50):
 
 
 def _newton_assigned_by_slices(tensor, v0, max_iter=50):
-    """newton_refine's one-contraction loop with its bordered system and
-    rhs built by slice assignment from fresh temporaries and v.v taken
-    twice: once for the norm and once for the v.v - 1 row."""
+    """newton_refine's iteration as the stacked step on a batch of one: the
+    contractions of a one-column batch, |v|^{m-2} by numpy's power on a
+    one-element array, and a (1, n + 1, n + 1) bordered system and rhs
+    built by slice assignment from fresh temporaries."""
     n, m = tensor.dim, tensor.order
     v = eigensolve._unit_start(v0)
-    norm = eigensolve._norm(v)
-    lam = apply_m(tensor, v)
+    norm = np.sqrt([v @ v])
+    lam = apply_m(tensor, v[:, None])[0]
     best = None
-    bordered = np.zeros((n + 1, n + 1))
-    block = bordered[:n, :n]
-    diagonal = bordered.ravel()[:n * (n + 2):n + 2]
-    rhs = np.empty(n + 1)
     for k in range(max_iter + 1):
-        u = v / norm
-        s = apply_m2(tensor, u)
+        u = v / norm[0]
+        s = apply_m2(tensor, u[:, None])[0]
         g = s @ u
         lam_u = float(u @ g)
         residual = eigensolve._norm(g - lam_u * u)
@@ -318,27 +344,28 @@ def _newton_assigned_by_slices(tensor, v0, max_iter=50):
         best = residual if best is None else min(best, residual)
         if k == max_iter:
             break
-        scale = norm ** (m - 2)
-        np.multiply(s, (m - 1) * scale, out=block)
-        diagonal -= lam
-        bordered[:n, n] = -v
-        bordered[n, :n] = 2.0 * v
-        rhs[:n] = lam * v - (scale * norm) * g
-        rhs[n] = 1.0 - float(v @ v)
+        scale = (norm ** (m - 2))[0]
+        bordered = np.zeros((1, n + 1, n + 1))
+        bordered[0, :n, :n] = s * ((m - 1) * scale) - lam * np.eye(n)
+        bordered[0, :n, n] = -v
+        bordered[0, n, :n] = 2.0 * v
+        rhs = np.empty((1, n + 1, 1))
+        rhs[0, :n, 0] = lam * v - g * (scale * norm[0])
+        rhs[0, n, 0] = 1.0 - v @ v
         try:
-            step = np.linalg.solve(bordered, rhs)
+            step = np.linalg.solve(bordered, rhs)[0, :, 0]
         except np.linalg.LinAlgError as exc:
             raise RefinementError(
                 f"singular linearization after {k} steps", residual=best
             ) from exc
-        if not all(map(math.isfinite, step.tolist())):
+        if not np.isfinite(step).all():
             raise RefinementError(
                 f"non-finite Newton step after {k} steps", residual=best
             )
         v = v + step[:n]
-        lam = lam + float(step[n])
-        norm = eigensolve._norm(v)
-        if norm == 0.0:
+        lam = lam + step[n]
+        norm = np.sqrt([v @ v])
+        if norm[0] == 0.0:
             raise RefinementError("iterate collapsed to zero", residual=best)
     raise RefinementError(
         f"no convergence within {max_iter} Newton steps", residual=best
@@ -477,12 +504,6 @@ def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
               for pairs in (scalar, batched)]
     assert len(robust[0]) == len(robust[1]) == 5
     assert all(_reference_same(p, q) for p, q in zip(*robust))
-
-
-def _diagonal_quadratic():
-    # S = e1 e1^T - e2 e2^T: at (1, 1)/sqrt(2), lambda = 0 and (1, -1) is a
-    # null direction of the bordered system, which LU meets exactly
-    return from_rank_one_sum([(1.0, [1.0, 0.0]), (-1.0, [0.0, 1.0])], 2)
 
 
 @pytest.mark.parametrize("build, points, bad, singular", [

@@ -7,7 +7,9 @@ with it; no module depends on the private internals of the stdlib json
 encoder; every import sits at module level, where the dependencies between
 modules are visible; and the solver takes the norm of a single vector with
 its own _norm, because the dispatch of np.linalg.norm costs more than the
-norm of a short vector. The package's __all__ names exactly what its
+norm of a short vector. Newton steps are taken in one place: only
+_newton_block, and _solve_each for its singular stacks, call
+np.linalg.solve. The package's __all__ names exactly what its
 __init__ imports, so a removed export cannot linger in either list.
 """
 
@@ -93,6 +95,18 @@ def test_eigensolve_calls_numpy_norm_only_along_an_axis():
         and not any(k.arg == "axis" for k in node.keywords)
     ]
     assert not offenders
+
+
+def test_eigensolve_solves_newton_systems_in_one_place():
+    tree = _modules()["eigensolve.py"]
+    callers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            callers.update(
+                func.name for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith("linalg.solve"))
+    assert callers == {"_newton_block", "_solve_each"}
 
 
 def test_package_all_matches_its_public_imports():
