@@ -20,6 +20,7 @@ import numpy as np
 from . import jsonio
 from .eigensolve import (
     ACCEPT_TOL,
+    POWER_TOL,
     enumerate_2d,
     multi_start,
     pairs_from_payload,
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_es.add_argument("--tensor", required=True)
     p_es.add_argument("--starts", type=int, default=200)
     p_es.add_argument("--seed", type=int, default=0)
-    p_es.add_argument("--tol", type=float, default=1e-12)
+    p_es.add_argument("--tol", type=float, default=POWER_TOL)
     p_es.add_argument("--max-iter", type=int, default=5000)
     p_es.add_argument("--out", required=True)
     p_es.set_defaults(handler=_cmd_eig_solve)

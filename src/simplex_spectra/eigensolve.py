@@ -59,12 +59,12 @@ ISOTROPY_REL_TOL = 1e-12
 # both alternation points collapse onto the limit, so requiring a minimum
 # separation tells the two apart.
 CYCLE_SEPARATION = 1e-6
-# The two-step gap |v_{k+1} - v_{k-1}| of a period-2 orbit can stall at a
-# few 1e-12 while the orbit drifts, above a convergence tol of 1e-12, so the
-# gap has a bound of its own.
+# The power map converges at a step of at most POWER_TOL. The two-step gap
+# |v_{k+1} - v_{k-1}| of a period-2 orbit can stall at a few 1e-12 while the
+# orbit drifts, above POWER_TOL, so the gap has a bound of its own.
+POWER_TOL = 1e-12
 CYCLE_GAP_TOL = 1e-9
 
-SOURCE_POWER = "power_method"
 SOURCE_NEWTON = "newton"
 SOURCE_SCAN = "angle_scan"
 SOURCE_CLOSED = "closed_form"
@@ -186,16 +186,15 @@ def _power_step(tensor: SymmetricTensor, v: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PowerResult:
-    """Power iteration outcome; ``pair`` is set only when status is converged
-    and ``last`` is the final iterate."""
+    """Power iteration outcome; ``last`` is the final iterate, from which
+    multi_start's Newton polish builds the pair of a converged start."""
 
     status: str
-    pair: Optional[Eigenpair]
     iterations: int
     last: np.ndarray
 
 
-def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
+def power_method(tensor: SymmetricTensor, v0, tol: float = POWER_TOL,
                  max_iter: int = 5000) -> PowerResult:
     """Iterate the power map until the displacement |v_{k+1} - v_k| <= tol.
 
@@ -219,14 +218,13 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = 1e-12,
         nxt = _power_step(tensor, cur)
         moved = _norm(nxt - cur)
         if moved <= tol:
-            pair = make_eigenpair(tensor, nxt, iterations=k, source=SOURCE_POWER)
-            return PowerResult(STATUS_CONVERGED, pair, k, nxt)
+            return PowerResult(STATUS_CONVERGED, k, nxt)
         if prev is not None and moved > CYCLE_SEPARATION \
                 and _norm(nxt - prev) <= CYCLE_GAP_TOL:
-            return PowerResult(STATUS_CYCLING, None, k, nxt)
+            return PowerResult(STATUS_CYCLING, k, nxt)
         prev = cur
         cur = nxt
-    return PowerResult(STATUS_MAX_ITER, None, max_iter, cur)
+    return PowerResult(STATUS_MAX_ITER, max_iter, cur)
 
 
 def newton_refine(tensor: SymmetricTensor, v0,
@@ -241,8 +239,8 @@ def newton_refine(tensor: SymmetricTensor, v0,
     steps, as the canonical pair (S u^m, u), from one contraction. Any other
     start goes to _newton_block as a batch of one, with that contraction;
     where the block gives up, RefinementError carries the best residual
-    seen. The grid endpoints of _newton_starts come back here one by one, so
-    each pair is accepted, and signed, by this function.
+    seen. Each endpoint of _newton_starts, from the grid or the rescue,
+    comes back here, so every pair is accepted, and signed, by this function.
     """
     if max_iter < 0:
         raise ValueError("newton refinement needs max_iter >= 0")
@@ -381,21 +379,19 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
 
 def _newton_starts(tensor: SymmetricTensor,
                    points: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """A start for newton_refine per point, in order: the point's endpoint
-    where _newton_block retired it, so newton_refine checks and accepts it,
-    normally after zero steps, and the point itself where the block gave
-    up on it, so newton_refine steps it again from there, as a batch of
-    one, and raises the error it meets. _newton_block takes _NEWTON_BLOCK
-    points at a time, each with newton_refine's default step cap."""
-    starts = list(points)
-    for lo in range(0, len(starts), _NEWTON_BLOCK):
-        block = np.array(starts[lo:lo + _NEWTON_BLOCK], dtype=float)
-        ends, _, _, _, failure, _ = _newton_block(
+    """The endpoint of each point that _newton_block retires, in order, for
+    newton_refine to check and accept, after zero steps as a rule. A point
+    the block gives up on is dropped, not stepped again. _newton_block takes
+    _NEWTON_BLOCK points at a time, each with newton_refine's default step
+    cap."""
+    ends: List[np.ndarray] = []
+    for lo in range(0, len(points), _NEWTON_BLOCK):
+        block = np.array(points[lo:lo + _NEWTON_BLOCK], dtype=float)
+        block_ends, _, _, _, failure, _ = _newton_block(
             tensor, block / np.sqrt(np.vecdot(block, block))[:, None],
             _NEWTON_MAX_ITER)
-        for i in (failure == 0).nonzero()[0]:
-            starts[lo + i] = ends[i]
-    return starts
+        ends.extend(block_ends[failure == 0])
+    return ends
 
 
 def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
@@ -539,11 +535,11 @@ def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
 @dataclass(eq=False)
 class SolveSummary:
     """Multi-start outcome. ``basin_counts[i]`` tallies the starts whose power
-    iteration converged to ``pairs[i]``; pairs recovered only by Newton rescue
-    from a non-converged trajectory carry a count of zero. ``failures`` counts
-    the starts whose power iteration did not converge (whether or not they
-    were handed to the rescue) plus the converged starts whose Newton polish
-    failed. Without the rescue, every pair has a positive count."""
+    iteration converged to ``pairs[i]``; pairs recovered only by the Newton
+    rescue of stalled starts carry a count of zero. ``failures`` counts the
+    starts whose power iteration did not converge (whether or not the rescue
+    stepped them) plus the converged starts whose Newton polish failed.
+    Without the rescue, every pair has a positive count."""
 
     pairs: List[Eigenpair]
     basin_counts: List[int]
@@ -552,25 +548,26 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                tol: float = 1e-12, max_iter: int = 5000,
+                tol: float = POWER_TOL, max_iter: int = 5000,
                 rescue: bool = True) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
     Start i draws from the substream seeded by (seed, i), so results do not
     depend on execution order and identical arguments reproduce the identical
-    summary. With ``rescue`` (the default), the last iterate of a trajectory
-    that did not converge is handed to Newton, which often recovers repelling
-    pairs the power map cannot settle on; ``eig solve`` relies on this, since
-    there these starts are the whole inventory. With ``rescue=False`` such a
-    start only counts in ``failures``, and the summary holds the attracting
-    pairs the power map converged to: the witness a caller wants when another
-    search, such as the sphere grid of ``conjecture_check``, gives the
-    inventory.
+    summary. newton_refine builds the pair of a converged start from its last
+    iterate. With ``rescue`` (the default), the last iterates of the other
+    starts go through _newton_starts, as the sphere grid does, which often
+    recovers repelling pairs the power map cannot settle on; ``eig solve``
+    relies on this, since there these starts are the whole inventory. With
+    ``rescue=False`` such a start only counts in ``failures``, and the summary
+    holds the attracting pairs the power map converged to: the witness a
+    caller wants when another search, such as the sphere grid of
+    ``conjecture_check``, gives the inventory.
     """
     if starts < 1:
         raise ValueError("multi_start needs at least one start")
     converged: List[Eigenpair] = []
-    rescued: List[Eigenpair] = []
+    stalled: List[np.ndarray] = []
     failures = 0
     for i in range(starts):
         rng = np.random.default_rng([seed, i])
@@ -585,16 +582,19 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
             continue
         if run.status == STATUS_CONVERGED:
             try:
-                converged.append(newton_refine(tensor, run.pair.v))
+                converged.append(newton_refine(tensor, run.last))
             except RefinementError:
                 failures += 1
         else:
             failures += 1
             if rescue:
-                try:
-                    rescued.append(newton_refine(tensor, run.last))
-                except RefinementError:
-                    pass
+                stalled.append(run.last)
+    rescued: List[Eigenpair] = []
+    for start in _newton_starts(tensor, stalled):
+        try:
+            rescued.append(newton_refine(tensor, start))
+        except RefinementError:
+            pass
     pairs = dedup(converged + rescued)
     return SolveSummary(pairs, _basin_counts(pairs, converged), failures,
                         starts)

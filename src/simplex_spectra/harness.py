@@ -160,13 +160,12 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
     n = 2 uses the exhaustive angle scan, so the inventory is complete and the
     verdict is an actual proof at this scale. For n >= 3 the inventory is
     Newton's method from ``newton_seeds`` points of a deterministic sphere
-    grid, which reaches repelling pairs as well as attracting ones. The
-    grid is stepped in batches, one stacked solve per step, and then each
-    seed's endpoint, or the seed itself where the batch gave up on it,
-    goes through newton_refine, which accepts the pair. The
-    ``starts`` random power-iteration starts witness the attracting (robust)
-    pairs: each start that converges is Newton-polished and added, and a start
-    that does not converge is dropped, not Newton-rescued. That inventory is a
+    grid, which reaches repelling pairs as well as attracting ones, stepped in
+    batches, one stacked solve per step; newton_refine accepts the endpoint of
+    each seed, and a seed the batch gives up on is dropped. The ``starts``
+    random power-iteration starts witness the attracting (robust) pairs: each
+    start that converges is Newton-polished and added, and a start that does
+    not converge is dropped, not Newton-rescued. That inventory is a
     heuristic and bounded-effort one, and the report says so. The CLI's 2000
     grid seeds find every isolated pair of the n = 3, 4 cells; a small grid
     can miss repelling pairs, as at (3,3), where every start cycles: 5 seeds

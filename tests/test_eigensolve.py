@@ -89,9 +89,11 @@ def test_power_method_converges_on_attracting_pair():
     t = odeco_tensor(2, 3)
     res = power_method(t, unit([0.9, 0.436]))
     assert res.status == STATUS_CONVERGED
-    npt.assert_allclose(res.pair.lam, 1.0, atol=1e-12)
-    npt.assert_allclose(res.pair.v, [1.0, 0.0], atol=1e-10)
-    assert res.pair.kkt_residual < 1e-10
+    npt.assert_allclose(res.last, [1.0, 0.0], atol=1e-10)
+    pair = make_eigenpair(t, res.last)
+    npt.assert_allclose(pair.lam, 1.0, atol=1e-12)
+    npt.assert_allclose(pair.v, [1.0, 0.0], atol=1e-10)
+    assert pair.kkt_residual < 1e-10
 
 
 def test_power_method_accepts_exact_eigenvector_immediately():
@@ -106,7 +108,6 @@ def test_power_method_detects_period_two_cycle():
                         vectors=np.array([[1.0], [0.0]]))
     res = power_method(t, np.array([1.0, 0.0]))
     assert res.status == STATUS_CYCLING
-    assert res.pair is None
     npt.assert_array_equal(res.last, [1.0, 0.0])
 
 
@@ -118,8 +119,9 @@ def test_power_method_converges_through_damped_alternation():
     w = regular_simplex_frame(4).vectors[:, 0]
     res = power_method(t, unit(w + [0.05, -0.03, 0.02, 0.04]), max_iter=400)
     assert res.status == STATUS_CONVERGED
-    npt.assert_allclose(res.pair.lam, 15.0 / 16.0, atol=1e-12)
-    assert angle_between(res.pair.v, w) < 1e-8
+    assert angle_between(res.last, w) < 1e-8
+    npt.assert_allclose(make_eigenpair(t, res.last).lam, 15.0 / 16.0,
+                        atol=1e-12)
 
 
 def test_power_method_reports_non_convergence_on_repelling_tensor():
@@ -127,7 +129,6 @@ def test_power_method_reports_non_convergence_on_repelling_tensor():
     res = power_method(simplex_tensor(2, 3), unit([np.cos(0.3), np.sin(0.3)]),
                        max_iter=500)
     assert res.status == STATUS_MAX_ITER
-    assert res.pair is None
     assert res.iterations == 500
 
 
@@ -481,9 +482,11 @@ def _grid_inventory(tensor, starts):
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (3, 5), (3, 6),
                                   (4, 3), (4, 4), (4, 5)])
 def test_batched_grid_newton_finds_the_scalar_inventory(n, m):
+    # the scalar side is the test's own loop, not _newton_block
     t = simplex_tensor(n, m)
     points = sphere_grid(n, 2000)
-    scalar = _grid_inventory(t, points)
+    scalar = dedup([p for p in (_two_point_newton(t, v0) for v0 in points)
+                    if p is not None])
     batched = _grid_inventory(t, eigensolve._newton_starts(t, points))
     assert len(batched) == len(scalar)
     assert all(_reference_same(p, q) for p, q in zip(batched, scalar))
@@ -506,18 +509,18 @@ def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
     assert all(_reference_same(p, q) for p, q in zip(*robust))
 
 
-@pytest.mark.parametrize("build, points, bad, singular", [
+@pytest.mark.parametrize("build, points, bad, singular, message", [
     (_diagonal_quadratic,
      [unit([1.0, 0.3]), unit([0.2, 1.0]), unit([1.0, 1.0]),
-      unit([1.0, -0.6]), unit([-0.4, 1.0])], 2, True),
+      unit([1.0, -0.6]), unit([-0.4, 1.0])], 2, True,
+     "singular linearization after 0 steps"),
     # grid seed 34 of (3,5) runs through all 50 Newton steps
-    (lambda: simplex_tensor(3, 5), sphere_grid(3, 2000)[30:40], 4, False),
+    (lambda: simplex_tensor(3, 5), sphere_grid(3, 2000)[30:40], 4, False,
+     "no convergence within 50 Newton steps"),
 ], ids=["singular", "out-of-steps"])
-def test_newton_starts_hand_a_failing_seed_back_unchanged(
-        build, points, bad, singular, monkeypatch):
+def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
+                                           message, monkeypatch):
     t = build()
-    with pytest.raises(RefinementError) as today:
-        newton_refine(t, points[bad])
     solved_each = []
 
     def spy(systems, rhs, _inner=eigensolve._solve_each):
@@ -525,22 +528,52 @@ def test_newton_starts_hand_a_failing_seed_back_unchanged(
         return _inner(systems, rhs)
 
     monkeypatch.setattr(eigensolve, "_solve_each", spy)
-    starts = eigensolve._newton_starts(t, points)
+    ends = eigensolve._newton_starts(t, points)
     assert bool(solved_each) == singular
-    assert starts[bad] is points[bad]
+    assert len(ends) == len(points) - 1
+    # stepped alone, the dropped seed still fails in newton_refine
     with pytest.raises(RefinementError) as err:
-        newton_refine(t, starts[bad])
-    assert str(err.value) == str(today.value)
-    assert err.value.residual == today.value.residual
-    rest = points[:bad] + points[bad + 1:]
-    others = starts[:bad] + starts[bad + 1:]
-    alone = eigensolve._newton_starts(t, rest)
+        newton_refine(t, points[bad])
+    assert str(err.value) == message
+    _, _, _, _, failure, best = eigensolve._newton_block(
+        t, np.array(points[bad:bad + 1]), 50)
+    assert failure[0] and err.value.residual == best[0]
+    alone = eigensolve._newton_starts(t, points[:bad] + points[bad + 1:])
     # BLAS may sum a row of the batched contraction in another order when
     # the batch has another size, so endpoints agree to roundoff, not bits
-    npt.assert_allclose(others, alone, rtol=0, atol=1e-14)
-    for start, point in zip(others, rest):
-        assert start is not point
-        assert newton_refine(t, start).iterations == 0
+    npt.assert_allclose(ends, alone, rtol=0, atol=1e-14)
+    for end in ends:
+        assert newton_refine(t, end).iterations == 0
+
+
+def _stalled_starts(tensor, starts, seed, max_iter):
+    """The last iterates of the starts that multi_start's power iteration
+    does not converge from, drawn as multi_start draws them."""
+    lasts = []
+    for i in range(starts):
+        d = np.random.default_rng([seed, i]).standard_normal(tensor.dim)
+        run = power_method(tensor, d / eigensolve._norm(d), max_iter=max_iter)
+        if run.status != STATUS_CONVERGED:
+            lasts.append(run.last)
+    return lasts
+
+
+@pytest.mark.parametrize("n, m, starts, max_iter, count", [
+    (3, 3, 200, 5000, 7), (2, 3, 40, 60, 3)], ids=["3-3", "2-3"])
+def test_rescue_finds_what_newton_finds_from_each_stalled_start(
+        n, m, starts, max_iter, count):
+    # every start cycles or runs out of steps; the rescue steps their last
+    # iterates together, and must find what the test's own loop finds
+    # from each one
+    t = simplex_tensor(n, m)
+    summary = multi_start(t, starts, seed=0, max_iter=max_iter)
+    assert summary.failures == starts
+    lasts = _stalled_starts(t, starts, 0, max_iter)
+    assert len(lasts) == starts
+    expected = dedup([p for p in (_two_point_newton(t, v) for v in lasts)
+                      if p is not None])
+    assert len(summary.pairs) == len(expected) == count
+    assert all(_reference_same(p, q) for p, q in zip(summary.pairs, expected))
 
 
 # ---------------------------------------------------------------- enumeration

@@ -208,11 +208,14 @@ def test_conjecture_newton_polishes_converged_starts_only(monkeypatch):
     assert calls == {"polish": 50, "grid": 50}
 
 
-@pytest.mark.parametrize("n, m", [(3, 4), (4, 4)])
-def test_conjecture_accepts_each_batched_grid_endpoint_as_it_is(n, m,
-                                                              monkeypatch):
-    # the grid is stepped in batches; newton_refine then checks each seed's
-    # endpoint, once per seed, and takes no step of its own
+@pytest.mark.parametrize("n, m, seeds, accepted", [
+    (3, 4, 200, 200), (4, 4, 200, 200),
+    # the batch gives up on 31 of these seeds, which are not stepped again
+    (3, 5, 2000, 1969)], ids=["3-4", "4-4", "3-5"])
+def test_conjecture_accepts_each_batched_grid_endpoint_as_it_is(
+        n, m, seeds, accepted, monkeypatch):
+    # the grid is stepped in batches; newton_refine then checks each
+    # retired seed's endpoint, once per seed, and takes no step of its own
     steps = []
     refine = harness.newton_refine
 
@@ -222,8 +225,8 @@ def test_conjecture_accepts_each_batched_grid_endpoint_as_it_is(n, m,
         return pair
 
     monkeypatch.setattr(harness, "newton_refine", recording)
-    conjecture_check(n, m, starts=20, newton_seeds=200)
-    assert steps == [0] * 200
+    conjecture_check(n, m, starts=20, newton_seeds=seeds)
+    assert steps == [0] * accepted
 
 
 def test_conjecture_rejects_out_of_range_cells():
