@@ -20,6 +20,8 @@ import numpy as np
 from . import jsonio
 from .eigensolve import (
     ACCEPT_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_SCAN_GRID,
     POWER_TOL,
     enumerate_2d,
     multi_start,
@@ -27,6 +29,7 @@ from .eigensolve import (
     pairs_to_payload,
 )
 from .frames import (
+    CERTIFY_TOL,
     certify,
     frame_tensor,
     load_frame,
@@ -36,6 +39,8 @@ from .frames import (
     simplex_tensor,
 )
 from .harness import (
+    CONJECTURE_STARTS,
+    NEWTON_SEEDS,
     VERDICT_CONSISTENT,
     conjecture_check,
     emit_report,
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = frame_sub.add_parser("certify",
                                 help="check the equiangular tight-frame conditions")
     p_fc.add_argument("--in", dest="infile", required=True)
-    p_fc.add_argument("--tol", type=float, default=1e-10)
+    p_fc.add_argument("--tol", type=float, default=CERTIFY_TOL)
     p_fc.set_defaults(handler=_cmd_frame_certify)
 
     p_tensor = sub.add_parser("tensor", help="build tensors")
@@ -225,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_es.add_argument("--starts", type=int, default=200)
     p_es.add_argument("--seed", type=int, default=0)
     p_es.add_argument("--tol", type=float, default=POWER_TOL)
-    p_es.add_argument("--max-iter", type=int, default=5000)
+    p_es.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_es.add_argument("--out", required=True)
     p_es.set_defaults(handler=_cmd_eig_solve)
     p_ee = eig_sub.add_parser("enumerate2d",
                               help="exhaustive angle scan (dimension 2)")
     p_ee.add_argument("--tensor", required=True)
-    p_ee.add_argument("--grid", type=int, default=720)
+    p_ee.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID)
     p_ee.add_argument("--out", required=True)
     p_ee.set_defaults(handler=_cmd_eig_enumerate2d)
     p_ec = eig_sub.add_parser("classify",
@@ -257,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="robust eigenpairs == frame vectors check")
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--m", type=int, required=True)
-    p_conj.add_argument("--starts", type=int, default=2000,
+    p_conj.add_argument("--starts", type=int, default=CONJECTURE_STARTS,
                         help="power-iteration starts that witness the "
                              "attracting pairs; the inventory comes from a "
-                             "2000-point sphere-grid Newton (n >= 3 only)")
+                             f"{NEWTON_SEEDS}-point sphere-grid Newton "
+                             "(n >= 3 only)")
     p_conj.add_argument("--seed", type=int, default=0,
                         help="seed of the random starts (n >= 3 only)")
-    p_conj.add_argument("--grid", type=int, default=720,
+    p_conj.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID,
                         help="angle-scan grid size (n = 2 only)")
     p_conj.add_argument("--out", required=True)
     p_conj.add_argument("--no-timestamp", action="store_true")

@@ -51,6 +51,7 @@ MATCH_LAMBDA_TOL = 1e-8
 MATCH_ANGLE_TOL = 1e-8
 
 MIN_SCAN_GRID = 360
+DEFAULT_SCAN_GRID = 720
 SCAN_THETA_RESOLUTION = 1e-14
 ISOTROPY_REL_TOL = 1e-12
 
@@ -64,6 +65,7 @@ CYCLE_SEPARATION = 1e-6
 # orbit drifts, above POWER_TOL, so the gap has a bound of its own.
 POWER_TOL = 1e-12
 CYCLE_GAP_TOL = 1e-9
+DEFAULT_MAX_ITER = 5000  # power-map steps of power_method and multi_start
 
 SOURCE_NEWTON = "newton"
 SOURCE_SCAN = "angle_scan"
@@ -195,7 +197,7 @@ class PowerResult:
 
 
 def power_method(tensor: SymmetricTensor, v0, tol: float = POWER_TOL,
-                 max_iter: int = 5000) -> PowerResult:
+                 max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     """Iterate the power map until the displacement |v_{k+1} - v_k| <= tol.
 
     A fixed point of the map is an eigenvector with lambda > 0 (for the
@@ -483,7 +485,8 @@ def _scan_pairs(tensor: SymmetricTensor, thetas) -> List[Eigenpair]:
                                  source=SOURCE_SCAN) for t in thetas])
 
 
-def enumerate_2d(tensor: SymmetricTensor, grid: int = 720) -> Enumeration2D:
+def enumerate_2d(tensor: SymmetricTensor,
+                 grid: int = DEFAULT_SCAN_GRID) -> Enumeration2D:
     """Exhaustive eigenpair enumeration for n = 2 by scanning the half circle.
 
     g(theta) = v_perp . S v(theta)^{m-1} is a trig polynomial of degree m, so
@@ -548,7 +551,7 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                tol: float = POWER_TOL, max_iter: int = 5000,
+                tol: float = POWER_TOL, max_iter: int = DEFAULT_MAX_ITER,
                 rescue: bool = True) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 

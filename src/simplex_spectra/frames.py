@@ -18,6 +18,7 @@ from . import jsonio
 from .tensors import UNIT_NORM_TOL, SymmetricTensor
 
 FRAME_GRAM_TOL = 1e-10
+CERTIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +99,7 @@ class CertificationReport:
     max_violation: float
 
 
-def certify(frame: Frame, tol: float = 1e-10) -> CertificationReport:
+def certify(frame: Frame, tol: float = CERTIFY_TOL) -> CertificationReport:
     """Check unit norms, equiangularity and tightness against ``tol``.
 
     Violations are measured on the Gram matrix (diagonal against 1,

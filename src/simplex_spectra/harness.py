@@ -14,6 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .eigensolve import (
+    DEFAULT_SCAN_GRID,
     Eigenpair,
     RefinementError,
     SOURCE_CLOSED,
@@ -44,6 +45,9 @@ FRAME_ALIGNMENT_TOL = 1e-6
 RHO_AGREEMENT_TOL = 1e-8
 # power-iteration cap for each random start of conjecture_check
 POWER_MAX_ITER = 400
+# random power starts and sphere-grid Newton seeds of conjecture_check
+CONJECTURE_STARTS = 2000
+NEWTON_SEEDS = 2000
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,9 @@ class ConjectureReport:
     seed: int
 
 
-def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
-                     grid: int = 720, newton_seeds: int = 2000) -> ConjectureReport:
+def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
+                     seed: int = 0, grid: int = DEFAULT_SCAN_GRID,
+                     newton_seeds: int = NEWTON_SEEDS) -> ConjectureReport:
     """Check that every robust eigenpair of the simplex tensor is a frame
     vector, and that the frame vectors classify as predicted.
 
@@ -166,10 +171,10 @@ def conjecture_check(n: int, m: int, starts: int = 2000, seed: int = 0,
     random power-iteration starts witness the attracting (robust) pairs: each
     start that converges is Newton-polished and added, and a start that does
     not converge is dropped, not Newton-rescued. That inventory is a
-    heuristic and bounded-effort one, and the report says so. The CLI's 2000
-    grid seeds find every isolated pair of the n = 3, 4 cells; a small grid
-    can miss repelling pairs, as at (3,3), where every start cycles: 5 seeds
-    find 5 of its 7 pairs, and 10 seeds or more find all 7.
+    heuristic and bounded-effort one, and the report says so. The default
+    NEWTON_SEEDS grid seeds find every isolated pair of the n = 3, 4 cells;
+    a small grid can miss repelling pairs, as at (3,3), where every start
+    cycles: 5 seeds find 5 of its 7 pairs, and 10 seeds or more find all 7.
     """
     if not 2 <= n <= 4:
         raise ValueError("conjecture check is tuned for n in 2..4")

@@ -20,7 +20,6 @@ exceed it keeps none and contracts through V diag(c) V^T instead.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cache, reduce
@@ -33,8 +32,7 @@ from . import jsonio
 DEFAULT_DENSE_CAP = 10_000_000
 CAP_ENV_VAR = "SIMPLEX_SPECTRA_CAP"
 UNIT_NORM_TOL = 1e-12
-SYMMETRY_CHECK_SAMPLES = 48
-SYMMETRY_CHECK_PERMS = 24
+SYMMETRY_TOL = 1e-12  # relative to the largest entry; densify leaves ~4e-16
 
 
 class CapacityError(Exception):
@@ -206,37 +204,28 @@ def from_rank_one_sum(terms: Iterable[Tuple[float, Sequence[float]]],
     )
 
 
-def _sampled_symmetry_check(entries: np.ndarray) -> None:
-    # Full verification is n^m * m! comparisons; sampling keeps load cheap
-    # while still catching any honest asymmetry.
-    order = entries.ndim
-    dim = entries.shape[0]
-    rng = np.random.default_rng(12345)
-    for _ in range(SYMMETRY_CHECK_SAMPLES):
-        idx = tuple(int(i) for i in rng.integers(0, dim, size=order))
-        ref = entries[idx]
-        if order <= 4:
-            perms = set(itertools.permutations(idx))
-        else:
-            perms = {tuple(rng.permutation(idx))
-                     for _ in range(SYMMETRY_CHECK_PERMS)}
-        for p in perms:
-            if entries[tuple(int(i) for i in p)] != ref:
-                raise ValueError(
-                    f"dense entries are not permutation symmetric at index {idx}"
-                )
-
-
 def from_dense(entries) -> SymmetricTensor:
-    """Dense tensor from an ndarray-like; symmetry is spot-checked by sampling."""
+    """Dense tensor from an ndarray-like, checked to be symmetric at every
+    entry. The swaps of adjacent axes generate every permutation of the
+    axes, so it is enough that each swap moves no entry by more than
+    SYMMETRY_TOL times the largest magnitude, which allows for roundoff."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim < 2:
         raise ValueError("dense tensor needs at least 2 axes")
     if len(set(arr.shape)) != 1:
         raise ValueError(f"dense tensor axes must agree, got shape {arr.shape}")
     _check_capacity(arr.shape[0], arr.ndim)
-    _sampled_symmetry_check(arr)
-    return SymmetricTensor(order=arr.ndim, dim=arr.shape[0], entries=arr)
+    # built first: its refusal of inf must precede the inf - inf of a swap
+    tensor = SymmetricTensor(order=arr.ndim, dim=arr.shape[0], entries=arr)
+    tol = SYMMETRY_TOL * np.max(np.abs(arr))
+    for axis in range(arr.ndim - 1):
+        bad = np.abs(arr - np.swapaxes(arr, axis, axis + 1)) > tol
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(
+                f"dense entries are not permutation symmetric at index {idx}"
+            )
+    return tensor
 
 
 def densify(tensor: SymmetricTensor) -> SymmetricTensor:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from simplex_spectra import cli
+from simplex_spectra import cli, densify, save_tensor, simplex_tensor
 from simplex_spectra.cli import main, parse_int_set
 
 
@@ -118,6 +118,14 @@ def test_eig_classify_rejects_pairs_solved_on_another_tensor(tmp_path, capsys):
                    "--pairs", str(pairs_path), "--out", str(reports_path)) == 1
     assert "different tensor" in capsys.readouterr().err
     assert not reports_path.exists()
+
+
+def test_eig_solve_reads_a_saved_dense_tensor(tmp_path):
+    # densify leaves roundoff asymmetry at (3,4); the file must still load
+    tensor_path = tmp_path / "dense.json"
+    save_tensor(densify(simplex_tensor(3, 4)), tensor_path)
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--starts", "20", "--out", str(tmp_path / "p.json")) == 0
 
 
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "1e999"])

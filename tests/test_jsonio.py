@@ -25,12 +25,12 @@ def test_dumps_layout_is_pinned():
         '        null\n'
         '      ],\n'
         '      {\n'
-        '        "k": -0\n'
+        '        "k": -0.0\n'
         '      }\n'
         '    ]\n'
         '  },\n'
         '  "s\\u00e9 \\"q\\"": "na\\u00efve \\"quoted\\"",\n'
-        '  "third": 0.33333333333333331,\n'
+        '  "third": 0.3333333333333333,\n'
         '  "flag": false\n'
         '}'
     )

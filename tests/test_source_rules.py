@@ -3,9 +3,10 @@
 Each tolerance constant (a module-level name ending in _TOL or _FLOOR) is
 assigned in one module only, so changing it is a one-line edit, and is read
 somewhere in the package, so a check that is removed takes its tolerance
-with it; no module depends on the private internals of the stdlib json
-encoder; every import sits at module level, where the dependencies between
-modules are visible; and the solver takes the norm of a single vector with
+with it; only jsonio imports json, so the text format of every file the
+package writes has one home, and no module depends on the private internals
+of the stdlib json encoder; every import sits at module level, where the
+dependencies between modules are visible; and the solver takes the norm of a single vector with
 its own _norm, because the dispatch of np.linalg.norm costs more than the
 norm of a short vector. Newton steps are taken in one place: only
 _newton_block, and _solve_each for its singular stacks, call
@@ -56,6 +57,21 @@ def test_each_tolerance_constant_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unread = set(_tolerance_homes()) - read
     assert not unread, sorted(unread)
+
+
+def test_only_jsonio_imports_json():
+    importers = set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(mod.split(".")[0] == "json" for mod in modules):
+                importers.add(name)
+    assert importers == {"jsonio.py"}
 
 
 def test_no_module_uses_json_encoder_internals():
