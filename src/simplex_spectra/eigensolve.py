@@ -49,6 +49,9 @@ _NEWTON_FAILURES = ("", "no convergence within {} Newton steps",
 # their eigenvector directions agree within these.
 MATCH_LAMBDA_TOL = 1e-8
 MATCH_ANGLE_TOL = 1e-8
+# The squared chord between unit vectors MATCH_ANGLE_TOL apart: an angle
+# rule that a vectorized chord decides without an arcsine.
+_MATCH_CHORD2 = (2.0 * math.sin(0.5 * MATCH_ANGLE_TOL)) ** 2
 
 MIN_SCAN_GRID = 360
 DEFAULT_SCAN_GRID = 720
@@ -133,23 +136,21 @@ def canonical_sign(lam: float, v: np.ndarray, order: int) -> Tuple[float, np.nda
 
 
 def _unit_start(v0) -> np.ndarray:
-    """A starting vector, normalized. Its norm must be positive and finite,
+    """A given vector, normalized: the start of an iteration or the
+    eigenvector of make_eigenpair. Its norm must be positive and finite,
     which refuses a zero vector and any NaN or infinite entry."""
     v = np.asarray(v0, dtype=float)
     norm = _norm(v)
     if not 0.0 < norm < math.inf:
-        raise ValueError("starting vector must be nonzero and finite")
+        raise ValueError("vector must be nonzero and finite")
     return v / norm
 
 
 def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
                    source: str = SOURCE_CLOSED) -> Eigenpair:
-    """Normalize v, evaluate lambda = S v^m, canonicalize, record the residual."""
-    v = np.asarray(v, dtype=float)
-    norm = _norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot build an eigenpair from the zero vector")
-    v = v / norm
+    """Normalize v through _unit_start, which refuses a zero or non-finite
+    vector, evaluate lambda = S v^m, canonicalize, record the residual."""
+    v = _unit_start(v)
     lam = apply_m(tensor, v)
     lam, v = canonical_sign(lam, v, tensor.order)
     residual = _norm(apply_m1(tensor, v) - lam * v)
@@ -399,23 +400,16 @@ def _newton_starts(tensor: SymmetricTensor,
 def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
                  vs: np.ndarray) -> int:
     """Index of the first of ``reps`` that p matches, or -1. Two pairs match
-    when their eigenvalues differ by at most MATCH_LAMBDA_TOL and
-    angle_between their eigenvectors is at most MATCH_ANGLE_TOL.
+    when their eigenvalues differ by at most MATCH_LAMBDA_TOL and the angle
+    between their eigenvectors is at most MATCH_ANGLE_TOL, that is, when the
+    chord between them is at most 2 sin(MATCH_ANGLE_TOL / 2).
 
     ``vs`` holds the eigenvectors of ``reps`` as rows, and one vectorized
-    chord per row screens them. That chord sums in another order than the
-    dot product under angle_between, so it can differ in the last bit: rows
-    beyond twice the chord the angle rule allows cannot match, rows within
-    half of it match if their eigenvalue does, and angle_between decides
-    the rows in between.
+    squared chord per row decides the angle.
     """
     d = vs - p.v
-    chord2 = np.vecdot(d, d)
-    for j in (chord2 <= (2.0 * MATCH_ANGLE_TOL) ** 2).nonzero()[0]:
-        r = reps[j]
-        if abs(p.lam - r.lam) <= MATCH_LAMBDA_TOL \
-                and (chord2[j] <= (0.5 * MATCH_ANGLE_TOL) ** 2
-                     or angle_between(p.v, r.v) <= MATCH_ANGLE_TOL):
+    for j in (np.vecdot(d, d) <= _MATCH_CHORD2).nonzero()[0]:
+        if abs(p.lam - reps[j].lam) <= MATCH_LAMBDA_TOL:
             return int(j)
     return -1
 
@@ -555,13 +549,14 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
                 rescue: bool = True) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
-    Start i draws from the substream seeded by (seed, i), so results do not
-    depend on execution order and identical arguments reproduce the identical
-    summary. newton_refine builds the pair of a converged start from its last
-    iterate. With ``rescue`` (the default), the last iterates of the other
-    starts go through _newton_starts, as the sphere grid does, which often
-    recovers repelling pairs the power map cannot settle on; ``eig solve``
-    relies on this, since there these starts are the whole inventory. With
+    Start i is one standard-normal draw from the substream seeded by
+    (seed, i), normalized, so results do not depend on execution order and
+    identical arguments reproduce the identical summary. newton_refine
+    builds the pair of a converged start from its last iterate. With
+    ``rescue`` (the default), the last iterates of the other starts go
+    through _newton_starts, as the sphere grid does, which often recovers
+    repelling pairs the power map cannot settle on; ``eig solve`` relies on
+    this, since there these starts are the whole inventory. With
     ``rescue=False`` such a start only counts in ``failures``, and the summary
     holds the attracting pairs the power map converged to: the witness a
     caller wants when another search, such as the sphere grid of
@@ -575,8 +570,6 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
     for i in range(starts):
         rng = np.random.default_rng([seed, i])
         d = rng.standard_normal(tensor.dim)
-        while _norm(d) < 1e-12:
-            d = rng.standard_normal(tensor.dim)
         d /= _norm(d)
         try:
             run = power_method(tensor, d, tol=tol, max_iter=max_iter)
@@ -613,9 +606,10 @@ def _generalized_golden(dim: int) -> float:
 
 
 def sphere_grid(dim: int, count: int) -> List[np.ndarray]:
-    """Deterministic quasi-uniform unit vectors: equal angles on the circle,
-    the golden-angle (Fibonacci) spiral on S^2, and for higher dimensions a
-    Kronecker lattice pushed through the normal quantile and normalized."""
+    """Exactly ``count`` deterministic quasi-uniform unit vectors: equal
+    angles on the circle, the golden-angle (Fibonacci) spiral on S^2, and
+    for higher dimensions a Kronecker lattice pushed through the normal
+    quantile and normalized."""
     if dim < 2:
         raise ValueError("sphere grid needs dim >= 2")
     if count < 1:
@@ -641,11 +635,10 @@ def sphere_grid(dim: int, count: int) -> List[np.ndarray]:
     quantile = NormalDist().inv_cdf
     points = []
     for k in range(count):
+        # NormalDist's quantile raises at 0 and 1
         u = np.clip((0.5 + (k + 1) * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
         x = np.array([quantile(ui) for ui in u])
-        norm = _norm(x)
-        if norm > 1e-12:
-            points.append(x / norm)
+        points.append(x / _norm(x))
     return points
 
 

@@ -276,8 +276,6 @@ def conjecture_to_payload(report: ConjectureReport,
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
     return str(value)
 
 

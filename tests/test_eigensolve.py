@@ -180,15 +180,17 @@ def test_power_method_matches_a_loop_over_power_step(monkeypatch):
     assert statuses == {STATUS_CONVERGED, STATUS_CYCLING}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_method_and_newton_refuse_a_non_finite_start(bad):
     t = simplex_tensor(3, 3)
     with pytest.raises(ValueError, match="unit vector"):
         power_step(t, [bad, 0.2, 0.1])
-    with pytest.raises(ValueError, match="finite"):
-        power_method(t, [bad, 0.2, 0.1])
-    with pytest.raises(ValueError, match="finite"):
-        newton_refine(t, [bad, 0.2, 0.1])
+    for solver in (power_method, newton_refine, make_eigenpair):
+        with pytest.raises(ValueError, match="finite"):
+            solver(t, [bad, 0.2, 0.1])
+        with pytest.raises(ValueError, match="nonzero"):
+            solver(t, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- refinement

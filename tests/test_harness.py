@@ -249,8 +249,26 @@ def test_csv_report_layout(tmp_path):
         "robust_closed", "robust_numeric", "n_plus_m", "threshold_pass",
     ]
     assert len(rows) == 5
-    assert rows[1][:4] == ["2", "3", "0.75", "2"]
+    assert rows[1][:4] == ["2", "3", "0.75", "2.0"]
     assert rows[1][5:] == ["not_robust", "not_robust", "5", "false"]
+
+
+def test_csv_cells_read_back_as_the_json_values(tmp_path):
+    rows = sweep(GRID_N, GRID_M)
+    emit_report(rows, "csv", tmp_path / "sweep.csv")
+    emit_report(rows, "json", tmp_path / "sweep.json",
+                include_timestamp=False)
+    expected = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    with open(tmp_path / "sweep.csv", newline="") as handle:
+        parsed = list(csv.DictReader(handle))
+    assert len(parsed) == len(expected) == 20
+    for cells, values in zip(parsed, expected):
+        for name, value in values.items():
+            if isinstance(value, str):
+                assert cells[name] == value
+                continue
+            read = json.loads(cells[name])
+            assert read == value and type(read) is type(value), (name, cells)
 
 
 def test_csv_floats_survive_a_round_trip(tmp_path):

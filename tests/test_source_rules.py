@@ -10,8 +10,10 @@ dependencies between modules are visible; and the solver takes the norm of a sin
 its own _norm, because the dispatch of np.linalg.norm costs more than the
 norm of a short vector. Newton steps are taken in one place: only
 _newton_block, and _solve_each for its singular stacks, call
-np.linalg.solve. The package's __all__ names exactly what its
-__init__ imports, so a removed export cannot linger in either list.
+np.linalg.solve. The pair match is decided once: _first_match compares
+one vectorized chord and does not call angle_between. The package's
+__all__ names exactly what its __init__ imports, so a removed export
+cannot linger in either list.
 """
 
 import ast
@@ -123,6 +125,16 @@ def test_eigensolve_solves_newton_systems_in_one_place():
                 if isinstance(node, ast.Call)
                 and ast.unparse(node.func).endswith("linalg.solve"))
     assert callers == {"_newton_block", "_solve_each"}
+
+
+def test_pair_match_is_one_chord_rule():
+    tree = _modules()["eigensolve.py"]
+    match = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_first_match")
+    called = {ast.unparse(node.func) for node in ast.walk(match)
+              if isinstance(node, ast.Call)}
+    assert "angle_between" not in called
 
 
 def test_package_all_matches_its_public_imports():
