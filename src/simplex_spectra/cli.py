@@ -22,14 +22,12 @@ from .eigensolve import (
     ACCEPT_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_SCAN_GRID,
-    POWER_TOL,
     enumerate_2d,
     multi_start,
     pairs_from_payload,
     pairs_to_payload,
 )
 from .frames import (
-    CERTIFY_TOL,
     certify,
     frame_tensor,
     load_frame,
@@ -43,6 +41,7 @@ from .harness import (
     NEWTON_SEEDS,
     VERDICT_CONSISTENT,
     conjecture_check,
+    conjecture_to_payload,
     emit_report,
     sweep,
     validate_sweep_row,
@@ -97,13 +96,15 @@ def _cmd_frame_build(args) -> int:
 
 def _cmd_frame_certify(args) -> int:
     frame = load_frame(args.infile)
-    report = certify(frame, tol=args.tol)
+    report = certify(frame)
     print(jsonio.dumps(asdict(report)))
     ok = report.unit_norms and report.equiangular and report.tight
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_tensor_build(args) -> int:
+    if args.m < 3:
+        raise ValueError("frame tensors are studied for order m >= 3")
     if args.kind == "simplex":
         tensor = simplex_tensor(args.n, args.m)
     else:
@@ -117,7 +118,7 @@ def _cmd_tensor_build(args) -> int:
 def _cmd_eig_solve(args) -> int:
     tensor = load_tensor(args.tensor)
     summary = multi_start(tensor, starts=args.starts, seed=args.seed,
-                          tol=args.tol, max_iter=args.max_iter)
+                          max_iter=args.max_iter)
     payload = pairs_to_payload(tensor, summary.pairs, seed=args.seed)
     payload["starts"] = summary.starts
     payload["failures"] = summary.failures
@@ -181,9 +182,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     report = conjecture_check(args.n, args.m, starts=args.starts,
-                              seed=args.seed, grid=args.grid)
-    emit_report(report, "json", args.out,
-                include_timestamp=not args.no_timestamp)
+                              seed=args.seed)
+    payload = conjecture_to_payload(report,
+                                    include_timestamp=not args.no_timestamp)
+    jsonio.dump(payload, args.out)
     print(f"(n={report.n}, m={report.m}): {report.found_pairs} eigenpairs, "
           f"{len(report.robust_pairs)} robust, verdict {report.verdict}; "
           f"wrote {args.out}")
@@ -211,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = frame_sub.add_parser("certify",
                                 help="check the equiangular tight-frame conditions")
     p_fc.add_argument("--in", dest="infile", required=True)
-    p_fc.add_argument("--tol", type=float, default=CERTIFY_TOL)
     p_fc.set_defaults(handler=_cmd_frame_certify)
 
     p_tensor = sub.add_parser("tensor", help="build tensors")
@@ -229,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_es.add_argument("--tensor", required=True)
     p_es.add_argument("--starts", type=int, default=200)
     p_es.add_argument("--seed", type=int, default=0)
-    p_es.add_argument("--tol", type=float, default=POWER_TOL)
     p_es.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_es.add_argument("--out", required=True)
     p_es.set_defaults(handler=_cmd_eig_solve)
@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(n >= 3 only)")
     p_conj.add_argument("--seed", type=int, default=0,
                         help="seed of the random starts (n >= 3 only)")
-    p_conj.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID,
-                        help="angle-scan grid size (n = 2 only)")
     p_conj.add_argument("--out", required=True)
     p_conj.add_argument("--no-timestamp", action="store_true")
     p_conj.set_defaults(handler=_cmd_conjecture)

@@ -197,9 +197,10 @@ class PowerResult:
     last: np.ndarray
 
 
-def power_method(tensor: SymmetricTensor, v0, tol: float = POWER_TOL,
+def power_method(tensor: SymmetricTensor, v0,
                  max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Iterate the power map until the displacement |v_{k+1} - v_k| <= tol.
+    """Iterate the power map until the displacement |v_{k+1} - v_k| is at
+    most POWER_TOL.
 
     A fixed point of the map is an eigenvector with lambda > 0 (for the
     orientation the map settles into). Period-2 oscillation between two
@@ -211,8 +212,6 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = POWER_TOL,
     Jacobian eigenvalue alternates on its way in, and that trajectory is
     allowed to run to convergence.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("power method tolerance must be positive and finite")
     if max_iter < 1:
         raise ValueError("power method needs max_iter >= 1")
     cur = _unit_start(v0)
@@ -220,7 +219,7 @@ def power_method(tensor: SymmetricTensor, v0, tol: float = POWER_TOL,
     for k in range(max_iter):
         nxt = _power_step(tensor, cur)
         moved = _norm(nxt - cur)
-        if moved <= tol:
+        if moved <= POWER_TOL:
             return PowerResult(STATUS_CONVERGED, k, nxt)
         if prev is not None and moved > CYCLE_SEPARATION \
                 and _norm(nxt - prev) <= CYCLE_GAP_TOL:
@@ -545,7 +544,7 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                tol: float = POWER_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                max_iter: int = DEFAULT_MAX_ITER,
                 rescue: bool = True) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
@@ -572,7 +571,7 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
         d = rng.standard_normal(tensor.dim)
         d /= _norm(d)
         try:
-            run = power_method(tensor, d, tol=tol, max_iter=max_iter)
+            run = power_method(tensor, d, max_iter=max_iter)
         except DegeneratePointError:
             failures += 1
             continue

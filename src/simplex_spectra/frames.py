@@ -8,7 +8,6 @@ inner product equal to -1/n. It is an equiangular tight frame: W W^T is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,15 +98,13 @@ class CertificationReport:
     max_violation: float
 
 
-def certify(frame: Frame, tol: float = CERTIFY_TOL) -> CertificationReport:
-    """Check unit norms, equiangularity and tightness against ``tol``.
+def certify(frame: Frame) -> CertificationReport:
+    """Check unit norms, equiangularity and tightness against CERTIFY_TOL.
 
     Violations are measured on the Gram matrix (diagonal against 1,
     off-diagonal absolute values against their mean) and on W W^T against
     (trace/dim) I; ``max_violation`` is the largest of them all.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("certification tolerance must be positive and finite")
     if frame.count < 1:
         raise ValueError("cannot certify an empty frame")
     w = frame.vectors
@@ -125,10 +122,10 @@ def certify(frame: Frame, tol: float = CERTIFY_TOL) -> CertificationReport:
     a = float(np.trace(outer) / frame.dim)
     tight_violation = float(np.max(np.abs(outer - a * np.eye(frame.dim))))
     return CertificationReport(
-        unit_norms=unit_violation <= tol,
-        equiangular=eq_violation <= tol,
+        unit_norms=unit_violation <= CERTIFY_TOL,
+        equiangular=eq_violation <= CERTIFY_TOL,
         alpha=alpha,
-        tight=tight_violation <= tol,
+        tight=tight_violation <= CERTIFY_TOL,
         a=a,
         max_violation=max(unit_violation, eq_violation, tight_violation),
     )

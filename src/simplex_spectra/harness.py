@@ -14,7 +14,6 @@ import numpy as np
 
 from . import jsonio
 from .eigensolve import (
-    DEFAULT_SCAN_GRID,
     Eigenpair,
     RefinementError,
     SOURCE_CLOSED,
@@ -157,7 +156,7 @@ class ConjectureReport:
 
 
 def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
-                     seed: int = 0, grid: int = DEFAULT_SCAN_GRID,
+                     seed: int = 0,
                      newton_seeds: int = NEWTON_SEEDS) -> ConjectureReport:
     """Check that every robust eigenpair of the simplex tensor is a frame
     vector, and that the frame vectors classify as predicted.
@@ -184,7 +183,7 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
     tensor = frame_tensor(frame, m)
     isotropic = False
     if n == 2:
-        enumeration = enumerate_2d(tensor, grid=grid)
+        enumeration = enumerate_2d(tensor)
         pairs = enumeration.pairs
         isotropic = enumeration.isotropic
         heuristic = False
@@ -279,16 +278,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_report(data, fmt: str, path, include_timestamp: bool = True) -> None:
-    """Write a sweep (CSV or JSON) or a conjecture report (JSON) to ``path``."""
+def emit_report(rows, fmt: str, path, include_timestamp: bool = True) -> None:
+    """Write sweep rows to ``path`` as CSV or JSON."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    if isinstance(data, ConjectureReport):
-        if fmt == "csv":
-            raise ValueError("conjecture reports are JSON only")
-        jsonio.dump(conjecture_to_payload(data, include_timestamp), path)
-        return
-    rows = list(data)
     if fmt == "json":
         jsonio.dump(sweep_to_payload(rows, include_timestamp), path)
         return

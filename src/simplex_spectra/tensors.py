@@ -20,7 +20,6 @@ exceed it keeps none and contracts through V diag(c) V^T instead.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Iterable, Optional, Sequence, Tuple
@@ -29,36 +28,20 @@ import numpy as np
 
 from . import jsonio
 
-DEFAULT_DENSE_CAP = 10_000_000
-CAP_ENV_VAR = "SIMPLEX_SPECTRA_CAP"
+DENSE_CAP = 10_000_000  # entries of a dense tensor or a pair-product table
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12  # relative to the largest entry; densify leaves ~4e-16
 
 
 class CapacityError(Exception):
-    """A dense tensor would exceed the configured entry budget."""
-
-
-def dense_capacity() -> int:
-    """Current dense-entry cap; the SIMPLEX_SPECTRA_CAP env var overrides it
-    with a positive integer, and any other value raises ValueError."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if not raw:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0  # refused below, with the variable's name
-    if cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
-    return cap
+    """A dense tensor would exceed DENSE_CAP entries."""
 
 
 def _check_capacity(dim: int, order: int) -> None:
-    limit = dense_capacity()
-    if dim ** order > limit:
+    if dim ** order > DENSE_CAP:
         raise CapacityError(
-            f"dense tensor with {dim}^{order} entries exceeds the cap of {limit}"
+            f"dense tensor with {dim}^{order} entries exceeds the cap of "
+            f"{DENSE_CAP}"
         )
 
 
@@ -154,7 +137,7 @@ class SymmetricTensor:
                 raise ValueError("every factored vector must have unit norm")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "vectors", vs)
-            if w.size * self.dim * (self.dim + 1) // 2 <= dense_capacity():
+            if w.size * self.dim * (self.dim + 1) // 2 <= DENSE_CAP:
                 rows, cols, index = _upper_triangle(self.dim)
                 table = (vs[rows] * vs[cols]).T.copy()  # C order: (r, pairs)
                 table.setflags(write=False)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -81,6 +82,17 @@ def test_tensor_build_odeco(tmp_path):
     assert len(payload["terms"]) == 4
 
 
+@pytest.mark.parametrize("kind", ["simplex", "odeco"])
+def test_tensor_build_refuses_an_order_below_three(tmp_path, capsys, kind):
+    # an odeco order-2 "tensor" is the identity matrix, every unit vector of
+    # which is an eigenvector with lambda = 1
+    out = tmp_path / "t.json"
+    assert run_cli("tensor", "build", "--kind", kind, "--n", "3", "--m", "2",
+                   "--out", str(out)) == 1
+    assert "m >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- eig
 
 
@@ -149,19 +161,24 @@ def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
     assert not out.exists()
 
 
-def test_non_finite_tolerances_exit_one(tmp_path, capsys):
-    frame_path = tmp_path / "f.json"
-    tensor_path = tmp_path / "t.json"
-    out = tmp_path / "p.json"
-    run_cli("frame", "build", "--n", "3", "--out", str(frame_path))
-    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", str(tensor_path))
+@pytest.mark.parametrize("argv", [
+    ("eig", "solve", "--tensor", "{tensor}", "--tol", "1e-9", "--out", "{out}"),
+    ("frame", "certify", "--in", "{frame}", "--tol", "1e-6"),
+    ("conjecture", "--n", "2", "--m", "3", "--grid", "720", "--out", "{out}"),
+], ids=["eig-solve-tol", "frame-certify-tol", "conjecture-grid"])
+def test_removed_settings_are_usage_errors(tmp_path, capsys, argv):
+    # POWER_TOL, CERTIFY_TOL and the n = 2 conjecture grid are fixed
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("frame", "tensor", "out")}
+    run_cli("frame", "build", "--n", "3", "--out", paths["frame"])
+    run_cli("tensor", "build", "--n", "3", "--m", "4", "--out", paths["tensor"])
+    files = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    assert run_cli("frame", "certify", "--in", str(frame_path),
-                   "--tol", "nan") == 1
-    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
-                   "--starts", "2", "--tol", "nan", "--out", str(out)) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not out.exists()
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_eig_classify_rejects_a_non_finite_pair(tmp_path, capsys):
@@ -282,6 +299,18 @@ def test_conjecture_runs_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_conjecture_output_does_not_depend_on_the_environment(tmp_path,
+                                                              monkeypatch):
+    # a cap of 40 entries once dropped the (4,6) pair-product table, and
+    # apply_m2 then changed the last bits of the report
+    plain, capped = tmp_path / "plain.json", tmp_path / "capped.json"
+    argv = ("conjecture", "--n", "4", "--m", "6", "--no-timestamp", "--out")
+    assert run_cli(*argv, str(plain)) == 0
+    monkeypatch.setenv("SIMPLEX_SPECTRA_CAP", "40")
+    assert run_cli(*argv, str(capped)) == 0
+    assert capped.read_bytes() == plain.read_bytes()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -390,3 +419,38 @@ def test_each_subcommand_reaches_its_own_handler(tmp_path, capsys):
     for argv, first_line in calls + calls[::-1]:
         assert run_cli(*argv) == 0, argv
         assert capsys.readouterr().out.startswith(first_line), argv
+
+
+# Every option of every command. A new flag widens what a run depends on
+# beyond (n, m, seed), so it has to be added here on purpose.
+PINNED_OPTIONS = {
+    "": ["-h", "--help"],
+    "frame": ["-h", "--help"],
+    "frame build": ["-h", "--help", "--n", "--kind", "--out"],
+    "frame certify": ["-h", "--help", "--in"],
+    "tensor": ["-h", "--help"],
+    "tensor build": ["-h", "--help", "--kind", "--n", "--m", "--out"],
+    "eig": ["-h", "--help"],
+    "eig solve": ["-h", "--help", "--tensor", "--starts", "--seed",
+                  "--max-iter", "--out"],
+    "eig enumerate2d": ["-h", "--help", "--tensor", "--grid", "--out"],
+    "eig classify": ["-h", "--help", "--tensor", "--pairs", "--out"],
+    "sweep": ["-h", "--help", "--n", "--m", "--format", "--out", "--strict",
+              "--no-timestamp"],
+    "conjecture": ["-h", "--help", "--n", "--m", "--starts", "--seed", "--out",
+                   "--no-timestamp"],
+}
+
+
+def _options(parser, path=()):
+    found = {" ".join(path): [option for action in parser._actions
+                              for option in action.option_strings]}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_options(sub, path + (name,)))
+    return found
+
+
+def test_each_command_has_exactly_the_pinned_options():
+    assert _options(cli.build_parser()) == PINNED_OPTIONS

@@ -971,12 +971,6 @@ def test_multi_start_agrees_with_exhaustive_enumeration_in_the_plane():
             assert best < 1e-7
 
 
-@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
-def test_power_method_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(ValueError):
-        power_method(simplex_tensor(2, 3), [1.0, 0.0], tol=tol)
-
-
 def test_multi_start_requires_a_start():
     with pytest.raises(ValueError):
         multi_start(simplex_tensor(2, 3), starts=0, seed=0)

@@ -17,6 +17,7 @@ from simplex_spectra import (
     save_frame,
     simplex_tensor,
 )
+from simplex_spectra.frames import CERTIFY_TOL
 
 
 # ---------------------------------------------------------------- construction
@@ -98,10 +99,12 @@ def test_certify_is_rotation_invariant():
     npt.assert_allclose(report.alpha, 1.0 / 5.0, atol=1e-12)
 
 
-def test_certify_rejects_bad_tolerance():
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            certify(orthonormal_frame(2), tol=tol)
+def test_certify_decides_at_certify_tol():
+    # |w_0|^2 - 1 just inside, then just outside, the one tolerance it reads
+    for excess, ok in ((0.5 * CERTIFY_TOL, True), (2.0 * CERTIFY_TOL, False)):
+        w = np.eye(2)
+        w[0, 0] = math.sqrt(1.0 + excess)
+        assert certify(Frame(dim=2, count=2, vectors=w)).unit_norms is ok
 
 
 # ---------------------------------------------------------------- frame tensors

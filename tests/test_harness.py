@@ -19,8 +19,8 @@ from simplex_spectra import (
     sweep,
     validate_sweep_row,
 )
-from simplex_spectra import eigensolve, frames, harness
-from simplex_spectra.harness import sweep_to_payload
+from simplex_spectra import eigensolve, frames, harness, jsonio
+from simplex_spectra.harness import conjecture_to_payload, sweep_to_payload
 
 GRID_N = range(2, 7)
 GRID_M = range(3, 7)
@@ -310,15 +310,14 @@ def test_reports_without_timestamp_are_byte_identical(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_conjecture_report_is_json_only(tmp_path):
-    report = conjecture_check(2, 3)
-    with pytest.raises(ValueError):
-        emit_report(report, "csv", tmp_path / "x.csv")
+def test_conjecture_payload_reads_back_as_json(tmp_path):
     path = tmp_path / "conjecture.json"
-    emit_report(report, "json", path, include_timestamp=False)
+    jsonio.dump(conjecture_to_payload(conjecture_check(2, 3),
+                                      include_timestamp=False), path)
     payload = json.loads(path.read_text())
     assert payload["verdict"] == "consistent"
     assert payload["violation"] is None
+    assert "timestamp" not in payload
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):

@@ -13,7 +13,8 @@ _newton_block, and _solve_each for its singular stacks, call
 np.linalg.solve. The pair match is decided once: _first_match compares
 one vectorized chord and does not call angle_between. The package's
 __all__ names exactly what its __init__ imports, so a removed export
-cannot linger in either list.
+cannot linger in either list. No module reads the process environment, so
+results depend on the arguments alone.
 """
 
 import ast
@@ -148,3 +149,16 @@ def test_package_all_matches_its_public_imports():
               if not (alias.asname or alias.name).startswith("_")}
     unlisted = public - set(simplex_spectra.__all__)
     assert not unlisted, sorted(unlisted)
+
+
+def test_no_module_reads_the_environment():
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                offenders.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and any(alias.name in readers for alias in node.names):
+                offenders.append(f"{name}:{node.lineno}")
+    assert not offenders

@@ -12,7 +12,6 @@ from simplex_spectra import (
     apply_m,
     apply_m1,
     apply_m2,
-    dense_capacity,
     densify,
     frame_tensor,
     from_dense,
@@ -24,6 +23,7 @@ from simplex_spectra import (
     outer_power,
     save_tensor,
     simplex_tensor,
+    tensors,
 )
 from simplex_spectra.eigensolve import pairs_from_payload, pairs_to_payload
 from conftest import (
@@ -147,7 +147,7 @@ def _without_table(monkeypatch, build):
     so the tensor keeps none and apply_m2 takes the V diag(c) V^T path.
     The cap is restored on return, so densify still works on it."""
     with monkeypatch.context() as mp:
-        mp.setenv("SIMPLEX_SPECTRA_CAP", str(build().pair_products.size - 1))
+        mp.setattr(tensors, "DENSE_CAP", build().pair_products.size - 1)
         tensor = build()
     assert tensor.pair_products is None and tensor.pair_index is None
     return tensor
@@ -301,24 +301,16 @@ def test_dense_capacity_guard():
         densify(random_factored(10, 8, r=2, seed=0))
 
 
-def test_capacity_env_override(monkeypatch):
-    monkeypatch.setenv("SIMPLEX_SPECTRA_CAP", "10")
-    assert dense_capacity() == 10
+def test_dense_cap_bounds_dense_tensors_and_tables(monkeypatch):
+    assert tensors.DENSE_CAP == 10_000_000
+    monkeypatch.setattr(tensors, "DENSE_CAP", 16)
+    assert outer_power(unit([1.0, 1.0]), 4).entries.size == 16
+    monkeypatch.setattr(tensors, "DENSE_CAP", 15)
     with pytest.raises(CapacityError):
-        outer_power(unit([1.0, 1.0]), 4)  # 16 > 10
-    monkeypatch.delenv("SIMPLEX_SPECTRA_CAP")
-    assert dense_capacity() == 10_000_000
-
-
-@pytest.mark.parametrize("bad", ["abc", "1e6", "0", "-5"])
-def test_capacity_env_rejects_a_value_that_is_not_a_positive_integer(
-        monkeypatch, bad):
-    monkeypatch.setenv("SIMPLEX_SPECTRA_CAP", bad)
-    with pytest.raises(ValueError, match="SIMPLEX_SPECTRA_CAP"):
-        dense_capacity()
-    # a factored tensor reads the cap to size its table, so it fails at once
-    with pytest.raises(ValueError, match="SIMPLEX_SPECTRA_CAP"):
-        random_factored(3, 4, r=5, seed=0)
+        outer_power(unit([1.0, 1.0]), 4)  # 16 > 15
+    # a table of r n (n+1)/2 = 30 entries is kept at a cap of exactly 30
+    monkeypatch.setattr(tensors, "DENSE_CAP", 30)
+    assert random_factored(3, 4, r=5, seed=0).pair_products.size == 30
 
 
 # ---------------------------------------------------------------- round trips
