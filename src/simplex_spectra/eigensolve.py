@@ -29,8 +29,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensors import (UNIT_NORM_TOL, SymmetricTensor, apply_m, apply_m1,
-                      apply_m2, tensor_from_payload, tensor_to_payload)
+from .tensors import (SymmetricTensor, _as_unit_vector, _norm, apply_m,
+                      apply_m1, apply_m2, tensor_from_payload,
+                      tensor_to_payload)
 
 ACCEPT_TOL = 1e-10
 DEGENERATE_CONTRACTION_TOL = 1e-12
@@ -91,13 +92,6 @@ class RefinementError(RuntimeError):
         self.residual = residual
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float array: the ravel and dot that
-    np.linalg.norm runs, so the same bits, without its dispatch."""
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
     """A canonicalized Z-eigenpair with its KKT residual and provenance."""
@@ -111,12 +105,7 @@ class Eigenpair:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and math.isfinite(self.kkt_residual)):
             raise ValueError("eigenvalue and residual must be finite")
-        v = np.array(self.v, dtype=float, copy=True)
-        if v.ndim != 1:
-            raise ValueError("eigenvector must be 1-d")
-        # negated so that a NaN norm, from a NaN or infinite entry, fails too
-        if not abs(_norm(v) - 1.0) <= UNIT_NORM_TOL:
-            raise ValueError("eigenvector must have unit norm")
+        v = _as_unit_vector(self.v, "eigenvector").copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
@@ -168,11 +157,7 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
 
 def power_step(tensor: SymmetricTensor, v) -> np.ndarray:
     """One step of the normalized power map v -> S v^{m-1} / |S v^{m-1}|."""
-    v = np.asarray(v, dtype=float)
-    # negated so that a NaN norm, from a NaN or infinite entry, fails too
-    if not abs(_norm(v) - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError("power step expects a unit vector")
-    return _power_step(tensor, v)
+    return _power_step(tensor, _as_unit_vector(v, "power step input"))
 
 
 def _power_step(tensor: SymmetricTensor, v: np.ndarray) -> np.ndarray:
@@ -229,8 +214,7 @@ def power_method(tensor: SymmetricTensor, v0,
     return PowerResult(STATUS_MAX_ITER, max_iter, cur)
 
 
-def newton_refine(tensor: SymmetricTensor, v0,
-                  max_iter: int = _NEWTON_MAX_ITER) -> Eigenpair:
+def newton_refine(tensor: SymmetricTensor, v0) -> Eigenpair:
     """Newton's method on F(v, lambda) = (S v^{m-1} - lambda v, v.v - 1).
 
     The linearization is the bordered system
@@ -240,12 +224,11 @@ def newton_refine(tensor: SymmetricTensor, v0,
     u = v / |v|, so a start that already satisfies it is returned after zero
     steps, as the canonical pair (S u^m, u), from one contraction. Any other
     start goes to _newton_block as a batch of one, with that contraction;
-    where the block gives up, RefinementError carries the best residual
-    seen. Each endpoint of _newton_starts, from the grid or the rescue,
-    comes back here, so every pair is accepted, and signed, by this function.
+    where the block gives up, within _NEWTON_MAX_ITER steps,
+    RefinementError carries the best residual seen. Each endpoint of
+    _newton_starts, from the grid or the rescue, comes back here, so every
+    pair is accepted, and signed, by this function.
     """
-    if max_iter < 0:
-        raise ValueError("newton refinement needs max_iter >= 0")
     v = _unit_start(v0)
     u = v / math.sqrt(v.dot(v))
     s = apply_m2(tensor, u)
@@ -256,7 +239,7 @@ def newton_refine(tensor: SymmetricTensor, v0,
     if not residual <= ACCEPT_TOL:
         start = (s[None], g[None], np.array([lam_u]), np.array([residual]))
         ends, lams, residuals, steps, failure, best = _newton_block(
-            tensor, v[None], max_iter, start)
+            tensor, v[None], start)
         k = int(steps[0])
         if failure[0]:
             raise RefinementError(_NEWTON_FAILURES[failure[0]].format(k),
@@ -291,7 +274,7 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray):
     return out, singular
 
 
-def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
+def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
                   start: Optional[Tuple[np.ndarray, ...]] = None) -> tuple:
     """newton_refine's iteration on every row of v (B, n) at once: the one
     place where a Newton step is taken. ``start`` holds _contract at the
@@ -306,8 +289,8 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
     seed but lands elsewhere near singular pairs.
 
     A row is retired at a residual of at most ACCEPT_TOL, and fails when it
-    runs out of its max_iter steps, meets a singular system or a non-finite
-    step, or collapses to zero. The live arrays are compressed only on a
+    runs out of its _NEWTON_MAX_ITER steps, meets a singular system or a
+    non-finite step, or collapses to zero. The live arrays are compressed only on a
     step where some row leaves. Returns per row u, lambda_u, the residual
     and the step count, the failure code (0 where retired, else an index
     into _NEWTON_FAILURES) and the best residual seen where it failed.
@@ -316,7 +299,7 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
     m = tensor.order
     ends = np.empty((count, n))
     lams, residuals, best = np.empty(count), np.empty(count), np.empty(count)
-    steps = np.full(count, max_iter)
+    steps = np.full(count, _NEWTON_MAX_ITER)
     failure = np.full(count, _OUT_OF_STEPS)
     live = np.arange(count)
     vv = np.vecdot(v, v)
@@ -328,7 +311,7 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
     # the zero corner of every system is never written; rhs is -F(v, lambda)
     bordered = np.zeros((count, n + 1, n + 1))
     rhs = np.empty((count, n + 1, 1))
-    for k in range(max_iter + 1):
+    for k in range(_NEWTON_MAX_ITER + 1):
         done = residual <= ACCEPT_TOL
         if done.any():
             rows = live[done]
@@ -340,7 +323,7 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray, max_iter: int,
             going = ~done
             live, v, vv, norm, lam, s, g, low = (
                 x[going] for x in (live, v, vv, norm, lam, s, g, low))
-        if k == max_iter:
+        if k == _NEWTON_MAX_ITER:
             best[live] = low
             break
         b = live.size
@@ -384,14 +367,12 @@ def _newton_starts(tensor: SymmetricTensor,
     """The endpoint of each point that _newton_block retires, in order, for
     newton_refine to check and accept, after zero steps as a rule. A point
     the block gives up on is dropped, not stepped again. _newton_block takes
-    _NEWTON_BLOCK points at a time, each with newton_refine's default step
-    cap."""
+    _NEWTON_BLOCK points at a time."""
     ends: List[np.ndarray] = []
     for lo in range(0, len(points), _NEWTON_BLOCK):
         block = np.array(points[lo:lo + _NEWTON_BLOCK], dtype=float)
         block_ends, _, _, _, failure, _ = _newton_block(
-            tensor, block / np.sqrt(np.vecdot(block, block))[:, None],
-            _NEWTON_MAX_ITER)
+            tensor, block / np.sqrt(np.vecdot(block, block))[:, None])
         ends.extend(block_ends[failure == 0])
     return ends
 
@@ -549,16 +530,16 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
     Start i is one standard-normal draw from the substream seeded by
-    (seed, i), normalized, so results do not depend on execution order and
-    identical arguments reproduce the identical summary. newton_refine
-    builds the pair of a converged start from its last iterate. With
-    ``rescue`` (the default), the last iterates of the other starts go
-    through _newton_starts, as the sphere grid does, which often recovers
-    repelling pairs the power map cannot settle on; ``eig solve`` relies on
-    this, since there these starts are the whole inventory. With
-    ``rescue=False`` such a start only counts in ``failures``, and the summary
-    holds the attracting pairs the power map converged to: the witness a
-    caller wants when another search, such as the sphere grid of
+    (seed, i), which power_method normalizes, so results do not depend on
+    execution order and identical arguments reproduce the identical summary.
+    newton_refine builds the pair of a converged start from its last
+    iterate. With ``rescue`` (the default), the last iterates of the other
+    starts go through _newton_starts, as the sphere grid does, which often
+    recovers repelling pairs the power map cannot settle on; ``eig solve``
+    relies on this, since there these starts are the whole inventory. With
+    ``rescue=False`` such a start only counts in ``failures``, and the
+    summary holds the attracting pairs the power map converged to: the
+    witness a caller wants when another search, such as the sphere grid of
     ``conjecture_check``, gives the inventory.
     """
     if starts < 1:
@@ -567,9 +548,7 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
     stalled: List[np.ndarray] = []
     failures = 0
     for i in range(starts):
-        rng = np.random.default_rng([seed, i])
-        d = rng.standard_normal(tensor.dim)
-        d /= _norm(d)
+        d = np.random.default_rng([seed, i]).standard_normal(tensor.dim)
         try:
             run = power_method(tensor, d, max_iter=max_iter)
         except DegeneratePointError:
@@ -669,7 +648,23 @@ def pairs_to_payload(tensor: SymmetricTensor, pairs: Sequence[Eigenpair],
 
 
 def pairs_from_payload(payload: dict):
-    """Inverse of pairs_to_payload: (tensor, eigenpairs, seed)."""
+    """Inverse of pairs_to_payload: (tensor, eigenpairs, seed).
+
+    Every pair must be an eigenpair of the tensor, with a recomputed
+    residual |S v^{m-1} - lambda v| of at most ACCEPT_TOL, since a
+    classifier presumes S v^{m-1} = lambda v and the stored residual is
+    only what the file says.
+    """
     tensor = tensor_from_payload(payload["tensor"])
     pairs = [pair_from_payload(p) for p in payload["pairs"]]
+    if pairs:
+        vs = np.array([p.v for p in pairs]).T
+        lams = np.array([p.lam for p in pairs])
+        residuals = np.linalg.norm(apply_m1(tensor, vs) - lams * vs, axis=0)
+        for i, residual in enumerate(residuals):
+            if not residual <= ACCEPT_TOL:
+                raise ValueError(
+                    f"pair {i} has residual {residual:.3g} above ACCEPT_TOL "
+                    f"= {ACCEPT_TOL:g}; it is not an eigenpair of its tensor"
+                )
     return tensor, pairs, payload.get("seed")

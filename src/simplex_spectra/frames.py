@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .tensors import UNIT_NORM_TOL, SymmetricTensor
+from .tensors import SymmetricTensor
 
 FRAME_GRAM_TOL = 1e-10
 CERTIFY_TOL = 1e-10
@@ -22,31 +22,34 @@ CERTIFY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A finite set of vectors in R^dim, stored as the columns of ``vectors``.
+    """A finite set of vectors in R^dim, stored as the columns of the
+    (dim, count) array ``vectors``.
 
     Only the shape and finiteness are checked here, so hand-built frames may
     carry arbitrary columns; certify() checks the frame conditions.
     """
 
-    dim: int
-    count: int
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("frame dimension must be positive")
-        if self.count < 1:
-            raise ValueError("frame must contain at least one vector")
         vecs = np.array(self.vectors, dtype=float, copy=True)
-        if vecs.shape != (self.dim, self.count):
+        if vecs.ndim != 2 or vecs.size == 0:
             raise ValueError(
-                f"frame vectors must have shape ({self.dim}, {self.count}), "
-                f"got {vecs.shape}"
+                f"frame vectors must be a nonempty (dim, count) array, "
+                f"got shape {vecs.shape}"
             )
         if not np.all(np.isfinite(vecs)):
             raise ValueError("frame vectors must be finite")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[1]
 
 
 def regular_simplex_frame(n: int) -> Frame:
@@ -71,19 +74,18 @@ def regular_simplex_frame(n: int) -> Frame:
     coords /= np.linalg.norm(coords, axis=0)
     gram = coords.T @ coords
     off = gram[~np.eye(n + 1, dtype=bool)]
-    if np.max(np.abs(np.diag(gram) - 1.0)) > UNIT_NORM_TOL \
-            or np.max(np.abs(off + 1.0 / n)) > FRAME_GRAM_TOL \
+    if np.max(np.abs(off + 1.0 / n)) > FRAME_GRAM_TOL \
             or np.max(np.abs(coords @ coords.T - (n + 1) / n * np.eye(n))) \
             > FRAME_GRAM_TOL:
         raise ValueError(f"simplex frame construction failed for n = {n}")
-    return Frame(dim=n, count=n + 1, vectors=coords)
+    return Frame(coords)
 
 
 def orthonormal_frame(n: int) -> Frame:
     """The standard basis of R^n as a frame (coherence 0, tight constant 1)."""
     if n < 1:
         raise ValueError("orthonormal frame needs n >= 1")
-    return Frame(dim=n, count=n, vectors=np.eye(n))
+    return Frame(np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,6 @@ def certify(frame: Frame) -> CertificationReport:
     off-diagonal absolute values against their mean) and on W W^T against
     (trace/dim) I; ``max_violation`` is the largest of them all.
     """
-    if frame.count < 1:
-        raise ValueError("cannot certify an empty frame")
     w = frame.vectors
     gram = w.T @ w
     unit_violation = float(np.max(np.abs(np.diag(gram) - 1.0)))
@@ -134,17 +134,21 @@ def certify(frame: Frame) -> CertificationReport:
 def frame_tensor(frame: Frame, order: int) -> SymmetricTensor:
     """Factored symmetric tensor sum_j w_j^{(x) order} over the frame vectors.
 
-    The frame's columns go to SymmetricTensor as they are, with unit weights;
-    its constructor rejects an order below 2 and a non-unit column.
+    The one refusal of an order below 3. The frame's columns go to
+    SymmetricTensor as they are, with unit weights; its constructor rejects
+    a non-unit column.
     """
-    return SymmetricTensor(order=order, dim=frame.dim,
-                           weights=np.ones(frame.count), vectors=frame.vectors)
+    if order < 3:
+        raise ValueError("frame tensors are studied for order m >= 3")
+    return SymmetricTensor(order=order, weights=np.ones(frame.count),
+                           vectors=frame.vectors)
 
 
 def simplex_tensor(n: int, m: int) -> SymmetricTensor:
-    """The order-m tensor generated by the regular simplex frame in R^n."""
-    if m < 3:
-        raise ValueError("simplex tensor is studied for order m >= 3")
+    """The order-m tensor generated by the regular simplex frame in R^n. At
+    n = 1 the frame is w and -w, so odd m, whose tensor is zero, is refused."""
+    if n == 1 and m % 2 == 1:
+        raise ValueError("the simplex tensor for n = 1 and odd m is zero")
     return frame_tensor(regular_simplex_frame(n), m)
 
 
@@ -166,7 +170,7 @@ def frame_from_payload(payload: dict) -> Frame:
     vecs = np.array(cols, dtype=float).T
     if vecs.size == 0 or vecs.shape != (dim, count):
         raise ValueError("frame payload vectors do not match the declared dim")
-    return Frame(dim=dim, count=count, vectors=vecs)
+    return Frame(vecs)
 
 
 def save_frame(frame: Frame, path) -> None:

@@ -81,19 +81,24 @@ def classify_stationarity(k_spectrum) -> str:
     return STAT_SADDLE
 
 
-def classify_robustness(j_spectrum, lam: float) -> str:
-    """Attractiveness of the pair under the power map, from the J spectrum.
+def _robustness(rho, tol) -> str:
+    """The one robustness threshold: robust when rho < 1 - tol, boundary
+    when |rho - 1| <= tol, otherwise not robust."""
+    if abs(rho - 1) <= tol:
+        return ROB_BOUNDARY
+    return ROB_ROBUST if rho < 1 else ROB_NOT_ROBUST
 
-    rho < 1 - ROBUSTNESS_TOL is robust, rho > 1 + ROBUSTNESS_TOL is not,
-    anything within ROBUSTNESS_TOL of 1 is boundary. Pairs with |lambda| at
-    or below LAMBDA_FLOOR have no Jacobian and come back undefined.
+
+def classify_robustness(j_spectrum, lam: float) -> str:
+    """Attractiveness of the pair under the power map, from the J spectrum:
+    _robustness of its spectral radius at ROBUSTNESS_TOL. Pairs with
+    |lambda| at or below LAMBDA_FLOOR have no Jacobian and come back
+    undefined.
     """
     if abs(lam) <= LAMBDA_FLOOR:
         return ROB_UNDEFINED
     rho = float(np.max(np.abs(np.asarray(j_spectrum, dtype=float))))
-    if abs(rho - 1.0) <= ROBUSTNESS_TOL:
-        return ROB_BOUNDARY
-    return ROB_ROBUST if rho < 1.0 else ROB_NOT_ROBUST
+    return _robustness(rho, ROBUSTNESS_TOL)
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,9 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
 
 
 def closed_form_verdict(rho: Fraction) -> str:
-    """Exact robustness verdict from a rational spectral radius."""
-    if rho < 1:
-        return ROB_ROBUST
-    if rho == 1:
-        return ROB_BOUNDARY
-    return ROB_NOT_ROBUST
+    """Exact robustness verdict from a rational spectral radius: _robustness
+    at tolerance 0, which rational arithmetic decides exactly."""
+    return _robustness(rho, 0)
 
 
 @dataclass(eq=False)
@@ -176,8 +178,8 @@ def classify_pair(tensor: SymmetricTensor, pair: Eigenpair) -> StabilityReport:
                                stationarity, ROB_UNDEFINED)
     j_values = _with_forced_zero(values / pair.lam)
     rho = float(np.max(np.abs(j_values)))
-    robust = classify_robustness(j_values, pair.lam)
-    return StabilityReport(pair, k_values, j_values, rho, stationarity, robust)
+    return StabilityReport(pair, k_values, j_values, rho, stationarity,
+                           _robustness(rho, ROBUSTNESS_TOL))
 
 
 def report_to_payload(report: StabilityReport) -> dict:

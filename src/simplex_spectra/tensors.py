@@ -20,6 +20,7 @@ exceed it keeps none and contracts through V diag(c) V^T instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Iterable, Optional, Sequence, Tuple
@@ -45,12 +46,23 @@ def _check_capacity(dim: int, order: int) -> None:
         )
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float array: the ravel and dot that
+    np.linalg.norm runs, so the same bits, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def _as_unit_vector(v, what: str) -> np.ndarray:
+    """v as a float array, refused unless it is a nonempty 1-d vector of
+    norm 1 within UNIT_NORM_TOL: the one unit-vector check."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-d vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{what} must have unit norm (within {UNIT_NORM_TOL})")
+    # negated so that a NaN norm, from a NaN or infinite entry, fails too
+    if not abs(_norm(v) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(
+            f"{what} must be a unit vector (unit norm within {UNIT_NORM_TOL})")
     return v
 
 
@@ -80,8 +92,9 @@ class SymmetricTensor:
 
     Exactly one storage form is populated: ``entries`` (dense, shape
     ``(dim,) * order``) or the pair ``weights``/``vectors`` (factored,
-    sum of weights[i] * vectors[:, i]^{outer order}). Instances are
-    immutable; all arrays are read-only copies.
+    sum of weights[i] * vectors[:, i]^{outer order}). ``dim`` is read
+    from the array given. Instances are immutable; all arrays are
+    read-only copies.
 
     A factored tensor whose table fits the dense cap also holds
     ``pair_products`` (row k: vectors[i, k] * vectors[j, k] over i <= j)
@@ -90,7 +103,7 @@ class SymmetricTensor:
     """
 
     order: int
-    dim: int
+    dim: int = field(init=False)
     entries: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     vectors: Optional[np.ndarray] = None
@@ -102,18 +115,17 @@ class SymmetricTensor:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("tensor order must be at least 2")
-        if self.dim < 1:
-            raise ValueError("tensor dimension must be at least 1")
         dense = self.entries is not None
         factored = self.weights is not None or self.vectors is not None
         if dense == factored:
             raise ValueError("provide dense entries or factored terms, not both")
         if dense:
             arr = _readonly(self.entries)
-            if arr.shape != (self.dim,) * self.order:
+            dim = arr.shape[0] if arr.ndim else 0
+            if dim < 1 or arr.shape != (dim,) * self.order:
                 raise ValueError(
-                    f"dense entries must have shape {(self.dim,) * self.order}, "
-                    f"got {arr.shape}"
+                    f"dense entries must have {self.order} equal nonempty "
+                    f"axes, got shape {arr.shape}"
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError("dense entries must be finite")
@@ -125,24 +137,25 @@ class SymmetricTensor:
             vs = _readonly(self.vectors)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError("factored weights must be a nonempty 1-d array")
-            if vs.shape != (self.dim, w.size):
+            if vs.ndim != 2 or vs.shape[1] != w.size:
                 raise ValueError(
-                    f"factored vectors must have shape ({self.dim}, {w.size}), "
+                    f"factored vectors must have shape (n, {w.size}), "
                     f"got {vs.shape}"
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(vs))):
                 raise ValueError("factored weights and vectors must be finite")
-            norms = np.linalg.norm(vs, axis=0)
-            if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-                raise ValueError("every factored vector must have unit norm")
+            for column in vs.T:
+                _as_unit_vector(column, "every factored vector")
+            dim = vs.shape[0]
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "vectors", vs)
-            if w.size * self.dim * (self.dim + 1) // 2 <= DENSE_CAP:
-                rows, cols, index = _upper_triangle(self.dim)
+            if w.size * dim * (dim + 1) // 2 <= DENSE_CAP:
+                rows, cols, index = _upper_triangle(dim)
                 table = (vs[rows] * vs[cols]).T.copy()  # C order: (r, pairs)
                 table.setflags(write=False)
                 object.__setattr__(self, "pair_products", table)
                 object.__setattr__(self, "pair_index", index)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def is_dense(self) -> bool:
@@ -160,14 +173,12 @@ def outer_power(v, order: int) -> SymmetricTensor:
         raise ValueError("outer power needs order >= 2")
     _check_capacity(v.size, order)
     entries = reduce(np.multiply.outer, [v] * order)
-    return SymmetricTensor(order=order, dim=v.size, entries=entries)
+    return SymmetricTensor(order=order, entries=entries)
 
 
 def from_rank_one_sum(terms: Iterable[Tuple[float, Sequence[float]]],
                       order: int) -> SymmetricTensor:
     """Factored tensor sum_i c_i w_i^{(x) order} from (weight, unit vector) terms."""
-    if order < 2:
-        raise ValueError("rank-one sum needs order >= 2")
     terms = list(terms)
     if not terms:
         raise ValueError("rank-one term list is empty")
@@ -179,12 +190,8 @@ def from_rank_one_sum(terms: Iterable[Tuple[float, Sequence[float]]],
     dims = {v.size for v in vectors}
     if len(dims) != 1:
         raise ValueError(f"rank-one vectors disagree on dimension: {sorted(dims)}")
-    return SymmetricTensor(
-        order=order,
-        dim=dims.pop(),
-        weights=np.array(weights),
-        vectors=np.column_stack(vectors),
-    )
+    return SymmetricTensor(order=order, weights=np.array(weights),
+                           vectors=np.column_stack(vectors))
 
 
 def from_dense(entries) -> SymmetricTensor:
@@ -195,11 +202,10 @@ def from_dense(entries) -> SymmetricTensor:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim < 2:
         raise ValueError("dense tensor needs at least 2 axes")
-    if len(set(arr.shape)) != 1:
-        raise ValueError(f"dense tensor axes must agree, got shape {arr.shape}")
     _check_capacity(arr.shape[0], arr.ndim)
-    # built first: its refusal of inf must precede the inf - inf of a swap
-    tensor = SymmetricTensor(order=arr.ndim, dim=arr.shape[0], entries=arr)
+    # built first: its refusals of unequal axes and of inf must precede the
+    # inf - inf of a swap
+    tensor = SymmetricTensor(order=arr.ndim, entries=arr)
     tol = SYMMETRY_TOL * np.max(np.abs(arr))
     for axis in range(arr.ndim - 1):
         bad = np.abs(arr - np.swapaxes(arr, axis, axis + 1)) > tol
@@ -219,7 +225,7 @@ def densify(tensor: SymmetricTensor) -> SymmetricTensor:
     total = np.zeros((tensor.dim,) * tensor.order)
     for c, w in zip(tensor.weights, tensor.vectors.T):
         total += c * reduce(np.multiply.outer, [w] * tensor.order)
-    return SymmetricTensor(order=tensor.order, dim=tensor.dim, entries=total)
+    return SymmetricTensor(order=tensor.order, entries=total)
 
 
 def _check_operand(tensor: SymmetricTensor, v) -> np.ndarray:

@@ -113,7 +113,7 @@ def random_factored(n, m, r, seed, positive_weights=False):
     weights = rng.standard_normal(r)
     if positive_weights:
         weights = np.abs(weights)
-    return SymmetricTensor(order=m, dim=n, weights=weights, vectors=vectors)
+    return SymmetricTensor(order=m, weights=weights, vectors=vectors)
 
 
 def _random_tensor_pairs(tensor, grid_count=80):

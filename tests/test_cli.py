@@ -93,6 +93,19 @@ def test_tensor_build_refuses_an_order_below_three(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_tensor_build_refuses_the_zero_simplex_tensor(tmp_path, capsys, m):
+    # n = 1 with odd m: the frame w, -w cancels, and every unit vector would
+    # be an eigenvector with lambda = 0
+    out = tmp_path / "t.json"
+    assert run_cli("tensor", "build", "--kind", "simplex", "--n", "1",
+                   "--m", str(m), "--out", str(out)) == 1
+    assert "zero" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("tensor", "build", "--kind", "simplex", "--n", "1",
+                   "--m", str(m + 1), "--out", str(out)) == 0
+
+
 # ---------------------------------------------------------------- eig
 
 
@@ -222,6 +235,17 @@ def test_eig_classify_rejects_a_pair_that_is_not_an_eigenpair(
     err = capsys.readouterr().err
     assert "pair 0 " in err and "residual" in err and "ACCEPT_TOL" in err
     assert not reports_path.exists()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjecture_refuses_zero_starts_at_every_n(tmp_path, capsys, n):
+    # n = 2 runs the angle scan and no start, but a report must not record
+    # a start count that no search could use
+    out = tmp_path / "c.json"
+    assert run_cli("conjecture", "--n", str(n), "--m", "3", "--starts", "0",
+                   "--out", str(out)) == 1
+    assert "start" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eig_enumerate2d_pipeline(tmp_path):

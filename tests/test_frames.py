@@ -52,15 +52,23 @@ def test_simplex_frame_identities(n):
 
 def test_frame_without_claims_accepts_arbitrary_columns():
     w = np.array([[2.0, 0.0], [0.0, 0.5]])
-    f = Frame(dim=2, count=2, vectors=w)
+    f = Frame(w)
     report = certify(f)
     assert not report.unit_norms
+
+
+def test_frame_reads_dim_and_count_from_its_array():
+    f = Frame(np.ones((3, 5)))
+    assert (f.dim, f.count) == (3, 5)
+    for empty in (np.zeros((0, 2)), np.zeros((2, 0)), np.ones(3)):
+        with pytest.raises(ValueError, match="nonempty"):
+            Frame(empty)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_frame_rejects_non_finite_columns(bad):
     with pytest.raises(ValueError):
-        Frame(dim=2, count=2, vectors=np.array([[1.0, 0.0], [0.0, bad]]))
+        Frame(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 # ---------------------------------------------------------------- certification
@@ -84,7 +92,7 @@ def test_certify_orthonormal_frame():
 def test_certify_reports_stretched_column():
     w = regular_simplex_frame(2).vectors.copy()
     w[:, 0] *= 1.01
-    report = certify(Frame(dim=2, count=3, vectors=w))
+    report = certify(Frame(w))
     assert not report.unit_norms
     npt.assert_allclose(report.max_violation, 1.01 ** 2 - 1.0, atol=1e-3)
 
@@ -93,7 +101,7 @@ def test_certify_is_rotation_invariant():
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     f = regular_simplex_frame(5)
-    rotated = Frame(dim=5, count=6, vectors=q @ f.vectors)
+    rotated = Frame(q @ f.vectors)
     report = certify(rotated)
     assert report.unit_norms and report.equiangular and report.tight
     npt.assert_allclose(report.alpha, 1.0 / 5.0, atol=1e-12)
@@ -104,7 +112,7 @@ def test_certify_decides_at_certify_tol():
     for excess, ok in ((0.5 * CERTIFY_TOL, True), (2.0 * CERTIFY_TOL, False)):
         w = np.eye(2)
         w[0, 0] = math.sqrt(1.0 + excess)
-        assert certify(Frame(dim=2, count=2, vectors=w)).unit_norms is ok
+        assert certify(Frame(w)).unit_norms is ok
 
 
 # ---------------------------------------------------------------- frame tensors
@@ -145,7 +153,9 @@ def test_frame_tensor_matches_a_rank_one_sum_bit_for_bit(n, tmp_path):
     frame = regular_simplex_frame(n)
     path = tmp_path / "frame.json"
     save_frame(frame, path)
-    for m in range(2, 9):
+    with pytest.raises(ValueError, match="m >= 3"):
+        frame_tensor(frame, 2)
+    for m in range(3, 9):
         ref = from_rank_one_sum(
             [(1.0, frame.vectors[:, j]) for j in range(frame.count)], m)
         for source in (frame, load_frame(path)):
@@ -159,7 +169,7 @@ def test_frame_tensor_matches_a_rank_one_sum_bit_for_bit(n, tmp_path):
 
 
 def test_frame_tensor_rejects_a_non_unit_column():
-    frame = Frame(dim=2, count=2, vectors=np.array([[1.0, 0.0], [0.0, 1.5]]))
+    frame = Frame(np.array([[1.0, 0.0], [0.0, 1.5]]))
     with pytest.raises(ValueError, match="unit norm"):
         frame_tensor(frame, 3)
 
@@ -167,6 +177,16 @@ def test_frame_tensor_rejects_a_non_unit_column():
 def test_simplex_tensor_rejects_low_order():
     with pytest.raises(ValueError):
         simplex_tensor(3, 2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_simplex_tensor_refuses_only_the_zero_tensor_of_n_one(m):
+    # n = 1: the frame is w and -w, whose odd powers cancel
+    if m % 2:
+        with pytest.raises(ValueError, match="zero"):
+            simplex_tensor(1, m)
+    else:
+        npt.assert_array_equal(simplex_tensor(1, m).weights, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------- round trips

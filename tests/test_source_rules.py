@@ -14,10 +14,15 @@ np.linalg.solve. The pair match is decided once: _first_match compares
 one vectorized chord and does not call angle_between. The package's
 __all__ names exactly what its __init__ imports, so a removed export
 cannot linger in either list. No module reads the process environment, so
-results depend on the arguments alone.
+results depend on the arguments alone. Each rule has one home:
+UNIT_NORM_TOL is compared in one function, tensors._as_unit_vector, and
+ACCEPT_TOL is read in eigensolve alone, which accepts every pair, loaded
+ones included. A shape is read from its array: neither Frame nor
+SymmetricTensor takes a dim or count argument.
 """
 
 import ast
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
@@ -162,3 +167,34 @@ def test_no_module_reads_the_environment():
                     and any(alias.name in readers for alias in node.names):
                 offenders.append(f"{name}:{node.lineno}")
     assert not offenders
+
+
+def test_unit_norm_tol_is_compared_in_one_function():
+    comparers = set()
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                comparers.update(
+                    f"{name}:{func.name}" for node in ast.walk(func)
+                    if isinstance(node, ast.Compare)
+                    and "UNIT_NORM_TOL" in ast.unparse(node))
+    assert comparers == {"tensors.py:_as_unit_vector"}
+
+
+def test_accept_tol_is_read_only_in_eigensolve():
+    readers = {name for name, tree in _modules().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "ACCEPT_TOL"
+               and isinstance(node.ctx, ast.Load)}
+    importers = {name for name, tree in _modules().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "ACCEPT_TOL" for alias in node.names)}
+    assert readers == {"eigensolve.py"}
+    assert not importers
+
+
+def test_frame_and_tensor_take_no_shape_argument():
+    for cls in (simplex_spectra.Frame, simplex_spectra.SymmetricTensor):
+        taken = set(inspect.signature(cls).parameters)
+        assert not taken & {"dim", "count"}, cls.__name__

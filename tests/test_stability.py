@@ -88,7 +88,7 @@ def test_jacobian_spectrum_for_three_dims_order_four():
 def test_jacobian_needs_nonzero_lambda():
     # K still exists at lambda = 0, so the tangent block and the K spectrum
     # are reported; the power map has no Jacobian there.
-    t = SymmetricTensor(order=3, dim=2, weights=np.array([1.0]),
+    t = SymmetricTensor(order=3, weights=np.array([1.0]),
                         vectors=np.array([[0.0], [1.0]]))
     pair = make_eigenpair(t, [1.0, 0.0])  # S e1^2 = 0, lambda = 0
     assert pair.lam == 0.0
@@ -213,7 +213,7 @@ def test_classify_pair_full_reports():
 def test_classify_pair_on_the_line():
     # n = 1: the sphere is two points, v^perp is empty, and the reports
     # hold the forced mode alone.
-    t = SymmetricTensor(order=4, dim=1, weights=np.array([2.0]),
+    t = SymmetricTensor(order=4, weights=np.array([2.0]),
                         vectors=np.array([[1.0]]))
     report = classify_pair(t, make_eigenpair(t, [1.0]))
     assert report.stationarity == STAT_LOCAL_MAX
@@ -224,7 +224,7 @@ def test_classify_pair_on_the_line():
 
 
 def test_classify_pair_with_vanishing_lambda():
-    t = SymmetricTensor(order=3, dim=2, weights=np.array([1.0]),
+    t = SymmetricTensor(order=3, weights=np.array([1.0]),
                         vectors=np.array([[0.0], [1.0]]))
     pair = make_eigenpair(t, [1.0, 0.0])
     report = classify_pair(t, pair)
@@ -284,7 +284,7 @@ def test_negative_even_order_pair_attracts_to_minimum():
     # period-2 point of the power map (v -> -v -> v), the orbit attracts
     # whenever rho < 1, and what it attracts to is a minimum of S v^m.
     # Equivalently it is a maximum of -S, which has the same Jacobian.
-    t = SymmetricTensor(order=4, dim=2, weights=np.array([-1.0]),
+    t = SymmetricTensor(order=4, weights=np.array([-1.0]),
                         vectors=np.array([[1.0], [0.0]]))
     pair = make_eigenpair(t, [1.0, 0.0])
     assert pair.lam == -1.0

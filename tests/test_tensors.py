@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from simplex_spectra import (
     CapacityError,
+    Eigenpair,
     SymmetricTensor,
     apply_m,
     apply_m1,
@@ -21,6 +22,7 @@ from simplex_spectra import (
     make_eigenpair,
     orthonormal_frame,
     outer_power,
+    regular_simplex_frame,
     save_tensor,
     simplex_tensor,
     tensors,
@@ -82,10 +84,10 @@ def test_simplex_cubic_entries_in_the_plane():
 
 def test_constructor_requires_exactly_one_representation():
     with pytest.raises(ValueError):
-        SymmetricTensor(order=3, dim=2)
+        SymmetricTensor(order=3)
     with pytest.raises(ValueError):
         SymmetricTensor(
-            order=3, dim=2,
+            order=3,
             entries=np.zeros((2, 2, 2)),
             weights=np.ones(1), vectors=np.eye(2)[:, :1],
         )
@@ -94,7 +96,7 @@ def test_constructor_requires_exactly_one_representation():
 def test_constructor_rejects_non_unit_factored_columns():
     vectors = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        SymmetricTensor(order=3, dim=2, weights=np.ones(2), vectors=vectors)
+        SymmetricTensor(order=3, weights=np.ones(2), vectors=vectors)
 
 
 @pytest.mark.filterwarnings("error")
@@ -107,9 +109,36 @@ def test_constructors_reject_non_finite_values(bad):
     entries = np.zeros((2, 2, 2))
     entries[0, 0, 0] = bad
     with pytest.raises(ValueError):
-        SymmetricTensor(order=3, dim=2, entries=entries)
+        SymmetricTensor(order=3, entries=entries)
     with pytest.raises(ValueError, match="finite"):
         from_dense(entries)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unit_vector_check_refuses_a_non_finite_vector(bad):
+    # a NaN norm fails the one unit-norm comparison, before any tensor is
+    # built from the vector
+    with pytest.raises(ValueError, match="unit vector"):
+        outer_power([bad, 1.0], 3)
+    with pytest.raises(ValueError, match="unit vector"):
+        from_rank_one_sum([(1.0, [bad, 1.0])], 3)
+    with pytest.raises(ValueError, match="unit vector"):
+        Eigenpair(lam=1.0, v=np.array([bad, 0.0]), kkt_residual=0.0)
+
+
+def test_constructor_reads_dim_from_its_array():
+    assert SymmetricTensor(order=3, entries=np.zeros((4, 4, 4))).dim == 4
+    vectors = np.eye(5)[:, :2]
+    t = SymmetricTensor(order=4, weights=np.ones(2), vectors=vectors)
+    assert t.dim == 5
+    for entries in (np.zeros((2, 2, 3)), np.zeros((2, 2)),
+                    np.zeros((0, 0, 0))):
+        with pytest.raises(ValueError, match="equal nonempty axes"):
+            SymmetricTensor(order=3, entries=entries)
+    for vs in (np.eye(3), np.ones(3) / np.sqrt(3.0)):
+        with pytest.raises(ValueError, match="factored vectors must have"):
+            SymmetricTensor(order=3, weights=np.ones(2), vectors=vs)
 
 
 def test_arrays_are_read_only():
@@ -277,7 +306,10 @@ def test_apply_m2_is_symmetric():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("m", range(3, 8))
 def test_apply_m2_is_symmetric_on_simplex_tensors(n, m):
-    _assert_apply_m2_exactly_symmetric(simplex_tensor(n, m))
+    # built through frame_tensor, since simplex_tensor refuses the zero
+    # tensor of n = 1 and odd m, on which apply_m2 must be symmetric too
+    _assert_apply_m2_exactly_symmetric(
+        frame_tensor(regular_simplex_frame(n), m))
 
 
 @settings(max_examples=25, deadline=None)
