@@ -18,7 +18,6 @@ from typing import List, Optional
 from . import jsonio
 from .eigensolve import (
     DEFAULT_MAX_ITER,
-    DEFAULT_SCAN_GRID,
     enumerate_2d,
     multi_start,
     pairs_from_payload,
@@ -126,14 +125,13 @@ def _cmd_eig_solve(args) -> int:
 
 def _cmd_eig_enumerate2d(args) -> int:
     tensor = load_tensor(args.tensor)
-    enumeration = enumerate_2d(tensor, grid=args.grid)
+    enumeration = enumerate_2d(tensor)
     payload = pairs_to_payload(tensor, enumeration.pairs, seed=None)
-    payload["grid"] = enumeration.grid
     payload["isotropic"] = enumeration.isotropic
     jsonio.dump(payload, args.out)
     label = "isotropic circle (representatives only)" if enumeration.isotropic \
         else f"{len(enumeration.pairs)} eigenpairs"
-    print(f"angle scan found {label}; wrote {args.out}")
+    print(f"plane enumeration found {label}; wrote {args.out}")
     return EXIT_OK
 
 
@@ -217,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_es.add_argument("--out", required=True)
     p_es.set_defaults(handler=_cmd_eig_solve)
     p_ee = eig_sub.add_parser("enumerate2d",
-                              help="exhaustive angle scan (dimension 2)")
+                              help="every eigenpair class, from the real "
+                                   "roots of one binary form (dimension 2)")
     p_ee.add_argument("--tensor", required=True)
-    p_ee.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID)
     p_ee.add_argument("--out", required=True)
     p_ee.set_defaults(handler=_cmd_eig_enumerate2d)
     p_ec = eig_sub.add_parser("classify",

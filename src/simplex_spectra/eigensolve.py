@@ -7,9 +7,9 @@ cross-check each other:
   detection, which only finds attracting pairs;
 * Newton refinement of the square KKT system F(v, lambda) = 0, which polishes
   any nearby pair regardless of its stability;
-* an exhaustive angle scan for n = 2, where the tangential residual
-  g(theta) = v_perp . S v(theta)^{m-1} is a trigonometric polynomial whose
-  sign changes on [0, pi) locate every eigenvector direction.
+* an exact inventory for n = 2, where v = (c, s) is an eigenvector exactly
+  when the binary form g(c, s) = c (S v^{m-1})_2 - s (S v^{m-1})_1 of
+  degree m vanishes, so the real roots of one polynomial give every class.
 
 Sign convention: eigenpairs come in sign classes ((lambda, v) with
 (-1)^m lambda, -v). The canonical representative has lambda > 0 for odd
@@ -54,9 +54,6 @@ MATCH_ANGLE_TOL = 1e-8
 # rule that a vectorized chord decides without an arcsine.
 _MATCH_CHORD2 = (2.0 * math.sin(0.5 * MATCH_ANGLE_TOL)) ** 2
 
-MIN_SCAN_GRID = 360
-DEFAULT_SCAN_GRID = 720
-SCAN_THETA_RESOLUTION = 1e-14
 ISOTROPY_REL_TOL = 1e-12
 
 # A true period-2 orbit keeps its two points separated by a fixed distance.
@@ -72,7 +69,6 @@ CYCLE_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 5000  # power-map steps of power_method and multi_start
 
 SOURCE_NEWTON = "newton"
-SOURCE_SCAN = "angle_scan"
 SOURCE_CLOSED = "closed_form"
 
 STATUS_CONVERGED = "converged"
@@ -229,8 +225,7 @@ def newton_refine(tensor: SymmetricTensor, v0) -> Eigenpair:
     _newton_starts, from the grid or the rescue, comes back here, so every
     pair is accepted, and signed, by this function.
     """
-    v = _unit_start(v0)
-    u = v / math.sqrt(v.dot(v))
+    u = v = _unit_start(v0)
     s = apply_m2(tensor, u)
     g = s.dot(u)
     lam_u = float(u.dot(g))
@@ -274,6 +269,8 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray):
     return out, singular
 
 
+# a step may overflow; its row then fails with _NON_FINITE, unwarned
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
                   start: Optional[Tuple[np.ndarray, ...]] = None) -> tuple:
     """newton_refine's iteration on every row of v (B, n) at once: the one
@@ -364,15 +361,14 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
 
 def _newton_starts(tensor: SymmetricTensor,
                    points: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """The endpoint of each point that _newton_block retires, in order, for
-    newton_refine to check and accept, after zero steps as a rule. A point
-    the block gives up on is dropped, not stepped again. _newton_block takes
-    _NEWTON_BLOCK points at a time."""
+    """The endpoint of each point, a unit vector, that _newton_block
+    retires, in order, for newton_refine to check and accept, after zero
+    steps as a rule. A point the block gives up on is dropped, not stepped
+    again. _newton_block takes _NEWTON_BLOCK points at a time."""
     ends: List[np.ndarray] = []
     for lo in range(0, len(points), _NEWTON_BLOCK):
-        block = np.array(points[lo:lo + _NEWTON_BLOCK], dtype=float)
         block_ends, _, _, _, failure, _ = _newton_block(
-            tensor, block / np.sqrt(np.vecdot(block, block))[:, None])
+            tensor, np.array(points[lo:lo + _NEWTON_BLOCK], dtype=float))
         ends.extend(block_ends[failure == 0])
     return ends
 
@@ -437,76 +433,75 @@ def _basin_counts(pairs: Sequence[Eigenpair],
 
 @dataclass(eq=False)
 class Enumeration2D:
-    """Angle-scan result. ``isotropic`` marks the degenerate case where the
-    restriction of S to the unit circle is constant: every direction is then
-    an eigenvector and ``pairs`` holds representatives only."""
+    """Plane enumeration result. ``isotropic`` marks the degenerate case where
+    the restriction of S to the unit circle is constant: every direction is
+    then an eigenvector and ``pairs`` holds representatives only."""
 
     pairs: List[Eigenpair]
     isotropic: bool
-    grid: int
 
 
-def _tangential_residual(tensor: SymmetricTensor, theta):
-    """g(theta) = v_perp . S v(theta)^{m-1} and S v(theta)^{m-1}, for one
-    angle or, as one batched contraction, for an array of angles."""
-    c, s = np.cos(theta), np.sin(theta)
-    g = apply_m1(tensor, np.array([c, s]))
-    return -s * g[0] + c * g[1], g
+def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
+    """Every eigenpair class of an n = 2 tensor, from one binary form.
 
-
-def _scan_pairs(tensor: SymmetricTensor, thetas) -> List[Eigenpair]:
-    return dedup([make_eigenpair(tensor, np.array([math.cos(t), math.sin(t)]),
-                                 source=SOURCE_SCAN) for t in thetas])
-
-
-def enumerate_2d(tensor: SymmetricTensor,
-                 grid: int = DEFAULT_SCAN_GRID) -> Enumeration2D:
-    """Exhaustive eigenpair enumeration for n = 2 by scanning the half circle.
-
-    g(theta) = v_perp . S v(theta)^{m-1} is a trig polynomial of degree m, so
-    a grid finer than max(grid, 8 m) brackets every simple root; each bracket
-    is bisected down to an angular width of 1e-14. Roots at theta and
-    theta + pi are the same sign class and collapse under canonicalization.
+    v = (c, s) is an eigenvector exactly when the binary form of degree m
+    g(c, s) = c (S v^{m-1})_2 - s (S v^{m-1})_1 vanishes, so there are at
+    most m classes. One batched contraction at m + 1 angles of [0, pi)
+    samples g. Its point at infinity is put at the sample of largest |g|, so
+    the degree never drops, and one solve gives the coefficients of
+    g(near + t far) in t. Rounding splits a multiple root into close real
+    roots and complex pairs, so the starts are the real roots and the real
+    parts of the complex roots where g vanishes, in t order, less each one
+    at whose midpoint with the one before g vanishes. g vanishes where |g|
+    is at most ISOTROPY_REL_TOL of the contraction scale, which also
+    decides isotropy: when g vanishes at all m + 1 samples it vanishes
+    identically, S is constant on the circle, and four representatives
+    are given. The starts go through _newton_starts and newton_refine, then
+    dedup.
     """
     if tensor.dim != 2:
-        raise ValueError("angle-scan enumeration requires a 2-dimensional tensor")
-    if grid < MIN_SCAN_GRID:
-        raise ValueError(f"grid must be at least {MIN_SCAN_GRID}")
-    cells = max(int(grid), 8 * tensor.order)
-    thetas = np.linspace(0.0, math.pi, cells + 1)
-    gvals, g = _tangential_residual(tensor, thetas)
-    scale = float(np.max(np.linalg.norm(g, axis=0)))
+        raise ValueError("plane enumeration requires a 2-dimensional tensor")
+    m = tensor.order
+    theta = np.arange(m + 1) * (math.pi / (m + 1))
+    samples = np.array([np.cos(theta), np.sin(theta)])
+    grad = apply_m1(tensor, samples)
+    g = samples[0] * grad[1] - samples[1] * grad[0]
+    scale = float(np.max(np.linalg.norm(grad, axis=0)))
     if scale <= 1e-13:
         raise ValueError(
             "S v^{m-1} vanishes identically on the circle: zero tensor"
         )
-    if np.max(np.abs(gvals)) <= ISOTROPY_REL_TOL * max(1.0, scale):
-        # S restricted to the circle is constant; return spread-out witnesses.
+    zero = ISOTROPY_REL_TOL * max(1.0, scale)
+    j = int(np.argmax(np.abs(g)))
+    if abs(g[j]) <= zero:
         witnesses = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-        return Enumeration2D(_scan_pairs(tensor, witnesses), True, cells)
-    # A residual at the noise floor marks a root sitting on a grid point
-    # (frame vectors often do); relying on a sign change there would make the
-    # detection depend on the sign of roundoff noise.
-    on_grid = np.abs(gvals) <= 1e-13 * float(np.max(np.abs(gvals)))
-    # theta = pi repeats theta = 0; brackets with a root at an end are done
-    roots: List[float] = thetas[:-1][on_grid[:-1]].tolist()
-    brackets = np.flatnonzero(~on_grid[:-1] & ~on_grid[1:]
-                              & (gvals[:-1] * gvals[1:] <= 0.0))
-    for i in brackets:
-        a, b = float(thetas[i]), float(thetas[i + 1])
-        ga = float(gvals[i])
-        while b - a > SCAN_THETA_RESOLUTION:
-            mid = 0.5 * (a + b)
-            gm, _ = _tangential_residual(tensor, mid)
-            if gm == 0.0:
-                a = b = mid
-                break
-            if (ga > 0.0) != (gm > 0.0):
-                b = mid
-            else:
-                a, ga = mid, gm
-        roots.append(0.5 * (a + b))
-    return Enumeration2D(_scan_pairs(tensor, roots), False, cells)
+        return Enumeration2D(dedup([
+            make_eigenpair(tensor, np.array([math.cos(t), math.sin(t)]))
+            for t in witnesses]), True)
+    far = samples[:, j]
+    near = np.array([far[1], -far[0]])
+    powers = np.arange(m, -1, -1)  # of t, as np.roots orders coefficients
+    chart = (near @ samples)[:, None] ** (m - powers) \
+        * (far @ samples)[:, None] ** powers
+    coefficients = np.linalg.solve(chart, g)
+
+    def vanishes(t):
+        # g at the unit vector along near + t far
+        return np.abs(np.polyval(coefficients, t)) \
+            <= zero * (1.0 + t * t) ** (0.5 * m)
+
+    roots = np.roots(coefficients)
+    t = np.sort(roots.real[(roots.imag == 0.0) | vanishes(roots.real)])
+    t = t[np.append(True, ~vanishes(0.5 * (t[:-1] + t[1:])))]
+    starts = near + t[:, None] * far
+    pairs = []
+    for start in _newton_starts(
+            tensor, starts / np.linalg.norm(starts, axis=1)[:, None]):
+        try:
+            pairs.append(newton_refine(tensor, start))
+        except RefinementError:
+            continue
+    return Enumeration2D(dedup(pairs), False)
 
 
 @dataclass(eq=False)

@@ -161,12 +161,13 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
     """Check that every robust eigenpair of the simplex tensor is a frame
     vector, and that the frame vectors classify as predicted.
 
-    n = 2 uses the exhaustive angle scan, so the inventory is complete and the
-    verdict is an actual proof at this scale. For n >= 3 the inventory is
-    Newton's method from ``newton_seeds`` points of a deterministic sphere
-    grid, which reaches repelling pairs as well as attracting ones, stepped in
-    batches, one stacked solve per step; newton_refine accepts the endpoint of
-    each seed, and a seed the batch gives up on is dropped. The ``starts``
+    n = 2 uses enumerate_2d, the real roots of one binary form, so the
+    inventory is complete and the verdict is an actual proof at this scale.
+    For n >= 3 the inventory is Newton's method from ``newton_seeds`` points
+    of a deterministic sphere grid, which reaches repelling pairs as well as
+    attracting ones, stepped in batches, one stacked solve per step;
+    newton_refine accepts the endpoint of each seed, and a seed the batch
+    gives up on is dropped. The ``starts``
     random power-iteration starts witness the attracting (robust) pairs: each
     start that converges is Newton-polished and added, and a start that does
     not converge is dropped, not Newton-rescued. That inventory is a

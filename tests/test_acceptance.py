@@ -168,9 +168,9 @@ def test_07_robust_pairs_are_local_maxima(eigenpair_corpus):
 
 
 def test_08_plane_enumeration_is_complete_and_consistent():
-    # n = 2 is solved by the exhaustive angle scan: the full inventory per
-    # order, the robust set equal to the frame exactly for m = 5, 6 and
-    # empty otherwise, and a consistent verdict. Budget: 30 s.
+    # n = 2 is solved exactly, from the real roots of one binary form: the
+    # full inventory per order, the robust set equal to the frame exactly
+    # for m = 5, 6 and empty otherwise, and a consistent verdict. Budget: 30 s.
     t0 = time.perf_counter()
     class_counts = {3: 3, 4: 4, 5: 3, 6: 6}
     for m in (3, 4, 5, 6):

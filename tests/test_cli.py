@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from simplex_spectra import cli, densify, save_tensor, simplex_tensor
+from simplex_spectra import (SymmetricTensor, cli, densify, save_tensor,
+                             simplex_tensor)
 from simplex_spectra.cli import main, parse_int_set
 
 
@@ -178,9 +179,12 @@ def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
     ("eig", "solve", "--tensor", "{tensor}", "--tol", "1e-9", "--out", "{out}"),
     ("frame", "certify", "--in", "{frame}", "--tol", "1e-6"),
     ("conjecture", "--n", "2", "--m", "3", "--grid", "720", "--out", "{out}"),
-], ids=["eig-solve-tol", "frame-certify-tol", "conjecture-grid"])
+    ("eig", "enumerate2d", "--tensor", "{tensor}", "--grid", "720",
+     "--out", "{out}"),
+], ids=["eig-solve-tol", "frame-certify-tol", "conjecture-grid",
+        "enumerate2d-grid"])
 def test_removed_settings_are_usage_errors(tmp_path, capsys, argv):
-    # POWER_TOL, CERTIFY_TOL and the n = 2 conjecture grid are fixed
+    # POWER_TOL and CERTIFY_TOL are fixed, and n = 2 scans no grid
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("frame", "tensor", "out")}
     run_cli("frame", "build", "--n", "3", "--out", paths["frame"])
@@ -239,7 +243,7 @@ def test_eig_classify_rejects_a_pair_that_is_not_an_eigenpair(
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_conjecture_refuses_zero_starts_at_every_n(tmp_path, capsys, n):
-    # n = 2 runs the angle scan and no start, but a report must not record
+    # n = 2 runs enumerate_2d and no start, but a report must not record
     # a start count that no search could use
     out = tmp_path / "c.json"
     assert run_cli("conjecture", "--n", str(n), "--m", "3", "--starts", "0",
@@ -257,6 +261,21 @@ def test_eig_enumerate2d_pipeline(tmp_path):
     payload = json.loads(pairs_path.read_text())
     assert payload["isotropic"] is False
     assert len(payload["pairs"]) == 6
+
+
+def test_eig_enumerate2d_resolves_two_roots_inside_one_scan_cell(tmp_path):
+    # the order-3 witness whose two close classes an angle scan missed
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    angles = np.array([0.1, 0.9, 1.7, 2.5])
+    save_tensor(SymmetricTensor(
+        order=3, weights=np.array([-0.522112, -1.0, 0.613137, 0.974247]),
+        vectors=np.array([np.cos(angles), np.sin(angles)])), tensor_path)
+    assert run_cli("eig", "enumerate2d", "--tensor", str(tensor_path),
+                   "--out", str(pairs_path)) == 0
+    payload = json.loads(pairs_path.read_text())
+    assert len(payload["pairs"]) == 3
+    assert "grid" not in payload
 
 
 def test_eig_enumerate2d_isotropic_flag(tmp_path):
@@ -432,7 +451,7 @@ def test_each_subcommand_reaches_its_own_handler(tmp_path, capsys):
         (("eig", "solve", "--tensor", str(tensor), "--starts", "20",
           "--out", str(pairs)), "found 4 eigenpairs"),
         (("eig", "enumerate2d", "--tensor", str(plane),
-          "--out", str(tmp_path / "e.json")), "angle scan found"),
+          "--out", str(tmp_path / "e.json")), "plane enumeration found"),
         (("eig", "classify", "--tensor", str(tensor), "--pairs", str(pairs),
           "--out", str(reports)), "classified 4 eigenpairs"),
         (("sweep", "--n", "2", "--m", "3", "--out", str(tmp_path / "s.csv")),
@@ -457,7 +476,7 @@ PINNED_OPTIONS = {
     "eig": ["-h", "--help"],
     "eig solve": ["-h", "--help", "--tensor", "--starts", "--seed",
                   "--max-iter", "--out"],
-    "eig enumerate2d": ["-h", "--help", "--tensor", "--grid", "--out"],
+    "eig enumerate2d": ["-h", "--help", "--tensor", "--out"],
     "eig classify": ["-h", "--help", "--tensor", "--pairs", "--out"],
     "sweep": ["-h", "--help", "--n", "--m", "--format", "--out", "--strict",
               "--no-timestamp"],

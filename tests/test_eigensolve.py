@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simplex_spectra import (
     Eigenpair,
@@ -21,10 +23,12 @@ from simplex_spectra import (
     dedup,
     densify,
     enumerate_2d,
+    frame_tensor,
     from_rank_one_sum,
     make_eigenpair,
     multi_start,
     newton_refine,
+    orthonormal_frame,
     power_method,
     power_step,
     regular_simplex_frame,
@@ -37,7 +41,7 @@ from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
                                         SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
-from simplex_spectra.stability import ROB_ROBUST
+from simplex_spectra.stability import ROB_ROBUST, STAT_DEGENERATE
 from conftest import odeco_tensor, random_factored
 
 
@@ -315,14 +319,15 @@ def _newton_assigned_by_slices(tensor, v0, max_iter=50):
     """newton_refine's iteration as the stacked step on a batch of one: the
     contractions of a one-column batch, |v|^{m-2} by numpy's power on a
     one-element array, and a (1, n + 1, n + 1) bordered system and rhs
-    built by slice assignment from fresh temporaries."""
+    built by slice assignment from fresh temporaries. The start is
+    normalized once; later iterates are divided by their norms."""
     n, m = tensor.dim, tensor.order
     v = eigensolve._unit_start(v0)
     norm = np.sqrt([v @ v])
     lam = apply_m(tensor, v[:, None])[0]
     best = None
     for k in range(max_iter + 1):
-        u = v / norm[0]
+        u = v / norm[0] if k else v
         s = apply_m2(tensor, u[:, None])[0]
         g = s @ u
         lam_u = float(u @ g)
@@ -535,6 +540,20 @@ def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
         assert newton_refine(t, end).iterations == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_newton_starts_fail_an_overflowing_step_without_a_warning():
+    # on the odeco (4,5) grid one seed of the block at 768 and one of the
+    # block at 1792 step out of range; they fail, quietly, as non-finite
+    t = frame_tensor(orthonormal_frame(4), 5)
+    points = sphere_grid(4, 2000)
+    assert len(eigensolve._newton_starts(t, points)) < len(points)
+    for lo, row in ((768, 98), (1792, 186)):
+        _, _, _, _, failure, _ = eigensolve._newton_block(
+            t, np.array(points[lo:lo + eigensolve._NEWTON_BLOCK]))
+        assert failure[row] == eigensolve._NON_FINITE
+        assert np.count_nonzero(failure == eigensolve._NON_FINITE) == 1
+
+
 def _stalled_starts(tensor, starts, seed, max_iter):
     """The last iterates of the starts that multi_start's power iteration
     does not converge from, drawn as multi_start draws them and handed to
@@ -604,8 +623,8 @@ def test_enumerate_2d_finds_frame_directions():
 
 
 def test_enumerate_2d_catches_on_grid_roots_regardless_of_noise_sign():
-    # Rotating the tensor moves the roots off and back onto grid points; the
-    # class count must not depend on where they land.
+    # Rotating the tensor moves the roots off and back onto the angles where
+    # g is sampled; the class count must not depend on where they land.
     base = regular_simplex_frame(2).vectors
     for shift in (0.0, 1e-9, np.pi / 720.0, 0.123):
         c, s = np.cos(shift), np.sin(shift)
@@ -615,7 +634,7 @@ def test_enumerate_2d_catches_on_grid_roots_regardless_of_noise_sign():
         assert len(enumerate_2d(t).pairs) == 6
 
 
-def test_enumerate_2d_evaluates_its_grid_in_one_contraction(monkeypatch):
+def test_enumerate_2d_samples_its_binary_form_in_one_contraction(monkeypatch):
     shapes = []
 
     def counted(tensor, v):
@@ -623,18 +642,126 @@ def test_enumerate_2d_evaluates_its_grid_in_one_contraction(monkeypatch):
         return apply_m1(tensor, v)
 
     monkeypatch.setattr(eigensolve, "apply_m1", counted)
-    res = enumerate_2d(simplex_tensor(2, 5))
-    assert shapes[0] == (2, res.grid + 1)
-    # the rest are bisection steps and residuals, one vector each
-    assert all(shape == (2,) for shape in shapes[1:])
-    assert len(shapes) < res.grid
+    for m in (3, 5, 6):
+        shapes.clear()
+        enumerate_2d(simplex_tensor(2, m))
+        assert shapes == [(2, m + 1)]
+
+
+def _plane_factored(weights, angles, order):
+    return SymmetricTensor(order=order, weights=np.array(weights),
+                           vectors=np.array([np.cos(angles), np.sin(angles)]))
+
+
+def test_enumerate_2d_resolves_two_roots_inside_one_scan_cell():
+    # Two of the three classes lie 4.5e-4 rad apart, well inside a cell of
+    # a 720- or 2000-point angle scan, which saw neither sign change.
+    t = _plane_factored([-0.522112, -1.0, 0.613137, 0.974247],
+                        [0.1, 0.9, 1.7, 2.5], 3)
+    pairs = enumerate_2d(t).pairs
+    assert len(pairs) == 3
+    assert all(p.kkt_residual <= ACCEPT_TOL for p in pairs)
+    lams = sorted(p.lam for p in pairs)
+    assert lams[1] - lams[0] < 1e-9 and lams[2] - lams[1] > 0.1
+
+
+def _rotated_cubic(f111, f122, phi, f222=0.0):
+    # the dense (2,3) tensor of f = f111 c^3 + 3 f122 c s^2 + f222 s^3,
+    # turned by phi
+    e = np.zeros((2, 2, 2))
+    e[0, 0, 0], e[1, 1, 1] = f111, f222
+    e[0, 1, 1] = e[1, 0, 1] = e[1, 1, 0] = f122
+    c, s = math.cos(phi), math.sin(phi)
+    q = np.array([[c, -s], [s, c]])
+    return SymmetricTensor(order=3, entries=np.einsum(
+        "ia,jb,kc,abc->ijk", q, q, q, e))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, 2.2])
+def test_enumerate_2d_counts_a_triple_root_once(phi):
+    # f = -8 c^3 - 12 c s^2 gives g = 4 s^3: one class, a degenerate
+    # critical point of f on the circle, whose split roots must not count
+    # as three pairs. Rounding moves a triple root by about its cube root.
+    t = _rotated_cubic(-8.0, -4.0, phi)
+    pairs = enumerate_2d(t).pairs
+    assert len(pairs) == 1
+    npt.assert_allclose(pairs[0].lam, 8.0, atol=1e-12)
+    assert angle_between(pairs[0].v, [-math.cos(phi), -math.sin(phi)]) < 1e-4
+    assert classify_pair(t, pairs[0]).stationarity == STAT_DEGENERATE
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, 2.2])
+def test_enumerate_2d_counts_a_double_root_once(phi):
+    # f = c^3 + 1.5 c s^2 + 0.7 s^3 gives g = s^2 (2.1 c - 1.5 s): a double
+    # root, which rounding splits into two real roots 1e-8 apart or into a
+    # complex pair, and a simple root
+    t = _rotated_cubic(1.0, 0.5, phi, f222=0.7)
+    pairs = enumerate_2d(t).pairs
+    assert len(pairs) == 2
+    double = min(pairs, key=lambda p: abs(p.lam - 1.0))
+    npt.assert_allclose(double.lam, 1.0, atol=1e-12)
+    assert classify_pair(t, double).stationarity == STAT_DEGENERATE
+
+
+@pytest.mark.parametrize("m", [3, 7, 8])
+def test_enumerate_2d_counts_a_rank_one_tensor_as_two_classes(m):
+    # w u^m has the eigenvectors u and u_perp, where g has a root of
+    # multiplicity m - 1 (lambda = 0)
+    for a in np.linspace(0.0, math.pi, 7, endpoint=False):
+        t = _plane_factored([1.3], [a], m)
+        assert sorted(round(p.lam, 9) for p in enumerate_2d(t).pairs) \
+            == [0.0, 1.3]
+
+
+def _sign_scan(weights, angles, order, points):
+    """A points-cell scan of [0, pi) for the sign changes of g(theta) =
+    sum_i w_i cos^{m-1}(theta - a_i) sin(a_i - theta), the last cell
+    closing at g(pi) = (-1)^m g(0): the left end of each cell where g
+    changes sign, the smallest slope |dg / dtheta| across such a cell, and
+    the smallest local minimum of |g| away from them, both over max |g|."""
+    theta = np.linspace(0.0, math.pi, points, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
+    g = np.zeros(points)
+    for w, a in zip(weights, angles):
+        ca, sa = math.cos(a), math.sin(a)
+        along, term = ca * c + sa * s, w * (sa * c - ca * s)
+        for _ in range(order - 1):  # float ** int costs ten products here
+            term *= along
+        g += term
+    step = np.append(g[1:], (-1) ** order * g[0]) - g
+    change = g * (g + step) < 0.0
+    mag = np.abs(g)
+    dip = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1)) \
+        & ~change & ~np.roll(change, 1)
+    top = mag.max()
+    slope = np.abs(step[change]).min(initial=math.inf) * points / math.pi
+    return theta[change], slope / top, mag[dip].min(initial=math.inf) / top
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.integers(3, 6),
+       terms=st.lists(st.tuples(st.floats(0.1, 1.0), st.booleans(),
+                                st.floats(0.0, math.pi)),
+                      min_size=2, max_size=4))
+def test_enumerate_2d_equals_a_dense_sign_scan(order, terms):
+    weights = [w if plus else -w for w, plus, _ in terms]
+    angles = [a for _, _, a in terms]
+    points = 10 ** 6
+    changes, slope, dip = _sign_scan(weights, angles, order, points)
+    # Where roots crowd within 1e-5, a sign scan is blind or wrong: it sees
+    # neither a root of even multiplicity nor two roots in one cell (both
+    # dip |g| near zero), and rounding moves a root with a flat slope.
+    assume(slope > 1e-6 and dip > 1e-8)
+    assume(np.all(np.diff(np.append(changes, changes[:1] + math.pi)) >= 1e-5))
+    pairs = enumerate_2d(_plane_factored(weights, angles, order)).pairs
+    found = np.sort([math.atan2(p.v[1], p.v[0]) % math.pi for p in pairs])
+    assert found.size == changes.size
+    assert np.all(np.abs(found - changes) <= math.pi / points)
 
 
 def test_enumerate_2d_rejects_bad_inputs():
     with pytest.raises(ValueError):
         enumerate_2d(simplex_tensor(3, 3))
-    with pytest.raises(ValueError):
-        enumerate_2d(simplex_tensor(2, 3), grid=100)
     zero = SymmetricTensor(order=3, entries=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         enumerate_2d(zero)

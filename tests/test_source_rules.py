@@ -10,8 +10,10 @@ dependencies between modules are visible; and the solver takes the norm of a sin
 its own _norm, because the dispatch of np.linalg.norm costs more than the
 norm of a short vector. Newton steps are taken in one place: only
 _newton_block, and _solve_each for its singular stacks, call
-np.linalg.solve. The pair match is decided once: _first_match compares
-one vectorized chord and does not call angle_between. The package's
+np.linalg.solve, besides enumerate_2d, which solves once for the
+coefficients of its binary form. The pair match is decided once:
+_first_match compares one vectorized chord and does not call
+angle_between. The package's
 __all__ names exactly what its __init__ imports, so a removed export
 cannot linger in either list. No module reads the process environment, so
 results depend on the arguments alone. Each rule has one home:
@@ -130,7 +132,7 @@ def test_eigensolve_solves_newton_systems_in_one_place():
                 func.name for node in ast.walk(func)
                 if isinstance(node, ast.Call)
                 and ast.unparse(node.func).endswith("linalg.solve"))
-    assert callers == {"_newton_block", "_solve_each"}
+    assert callers == {"_newton_block", "_solve_each", "enumerate_2d"}
 
 
 def test_pair_match_is_one_chord_rule():
