@@ -19,7 +19,6 @@ from . import jsonio
 from .eigensolve import (
     DEFAULT_MAX_ITER,
     enumerate_2d,
-    multi_start,
     pairs_from_payload,
     pairs_to_payload,
 )
@@ -36,6 +35,7 @@ from .harness import (
     CONJECTURE_STARTS,
     NEWTON_SEEDS,
     VERDICT_CONSISTENT,
+    _inventory,
     conjecture_check,
     conjecture_to_payload,
     emit_report,
@@ -111,8 +111,8 @@ def _cmd_tensor_build(args) -> int:
 
 def _cmd_eig_solve(args) -> int:
     tensor = load_tensor(args.tensor)
-    summary = multi_start(tensor, starts=args.starts, seed=args.seed,
-                          max_iter=args.max_iter)
+    summary = _inventory(tensor, args.starts, args.seed, args.max_iter,
+                         args.starts)
     payload = pairs_to_payload(tensor, summary.pairs, seed=args.seed)
     payload["starts"] = summary.starts
     payload["failures"] = summary.failures
@@ -207,11 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eig = sub.add_parser("eig", help="solve and classify eigenpairs")
     eig_sub = p_eig.add_subparsers(dest="eig_command", required=True)
-    p_es = eig_sub.add_parser("solve", help="multi-start power iteration")
+    p_es = eig_sub.add_parser("solve", help="sphere-grid Newton, with "
+                              "power-iteration basin counts")
     p_es.add_argument("--tensor", required=True)
-    p_es.add_argument("--starts", type=int, default=200)
+    p_es.add_argument("--starts", type=int, default=200,
+                      help="power starts, and as many grid seeds")
     p_es.add_argument("--seed", type=int, default=0)
-    p_es.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_es.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                      help="power-map steps of each start")
     p_es.add_argument("--out", required=True)
     p_es.set_defaults(handler=_cmd_eig_solve)
     p_ee = eig_sub.add_parser("enumerate2d",

@@ -222,8 +222,8 @@ def newton_refine(tensor: SymmetricTensor, v0) -> Eigenpair:
     start goes to _newton_block as a batch of one, with that contraction;
     where the block gives up, within _NEWTON_MAX_ITER steps,
     RefinementError carries the best residual seen. Each endpoint of
-    _newton_starts, from the grid or the rescue, comes back here, so every
-    pair is accepted, and signed, by this function.
+    _newton_starts on the sphere grid comes back here, so every pair is
+    accepted, and signed, by this function.
     """
     u = v = _unit_start(v0)
     s = apply_m2(tensor, u)
@@ -421,13 +421,12 @@ def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
 
 def _basin_counts(pairs: Sequence[Eigenpair],
                   converged: Sequence[Eigenpair]) -> List[int]:
-    """How many of ``converged`` first match each of ``pairs``."""
+    """How many of ``converged`` first match each of ``pairs``, which dedup
+    merged them into, so that each matches one."""
     vs = np.array([p.v for p in pairs])
     counts = [0] * len(pairs)
     for p in converged:
-        j = _first_match(p, pairs, vs)
-        if j >= 0:
-            counts[j] += 1
+        counts[_first_match(p, pairs, vs)] += 1
     return counts
 
 
@@ -456,8 +455,8 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
     is at most ISOTROPY_REL_TOL of the contraction scale, which also
     decides isotropy: when g vanishes at all m + 1 samples it vanishes
     identically, S is constant on the circle, and four representatives
-    are given. The starts go through _newton_starts and newton_refine, then
-    dedup.
+    are given. Each start goes to newton_refine, which accepts a root
+    accurate to rounding from one contraction, and the pairs to dedup.
     """
     if tensor.dim != 2:
         raise ValueError("plane enumeration requires a 2-dimensional tensor")
@@ -495,8 +494,7 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
     t = t[np.append(True, ~vanishes(0.5 * (t[:-1] + t[1:])))]
     starts = near + t[:, None] * far
     pairs = []
-    for start in _newton_starts(
-            tensor, starts / np.linalg.norm(starts, axis=1)[:, None]):
+    for start in starts / np.linalg.norm(starts, axis=1)[:, None]:
         try:
             pairs.append(newton_refine(tensor, start))
         except RefinementError:
@@ -506,12 +504,11 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
 
 @dataclass(eq=False)
 class SolveSummary:
-    """Multi-start outcome. ``basin_counts[i]`` tallies the starts whose power
-    iteration converged to ``pairs[i]``; pairs recovered only by the Newton
-    rescue of stalled starts carry a count of zero. ``failures`` counts the
-    starts whose power iteration did not converge (whether or not the rescue
-    stepped them) plus the converged starts whose Newton polish failed.
-    Without the rescue, every pair has a positive count."""
+    """Outcome of a search from ``starts`` random power starts.
+    ``basin_counts[i]`` tallies the starts whose power iteration converged
+    to ``pairs[i]``, so a pair that only Newton from a sphere grid found
+    counts zero. ``failures`` counts the starts whose power iteration did
+    not converge plus the converged starts whose Newton polish failed."""
 
     pairs: List[Eigenpair]
     basin_counts: List[int]
@@ -520,53 +517,32 @@ class SolveSummary:
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
-                max_iter: int = DEFAULT_MAX_ITER,
-                rescue: bool = True) -> SolveSummary:
+                max_iter: int = DEFAULT_MAX_ITER) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
     Start i is one standard-normal draw from the substream seeded by
     (seed, i), which power_method normalizes, so results do not depend on
     execution order and identical arguments reproduce the identical summary.
     newton_refine builds the pair of a converged start from its last
-    iterate. With ``rescue`` (the default), the last iterates of the other
-    starts go through _newton_starts, as the sphere grid does, which often
-    recovers repelling pairs the power map cannot settle on; ``eig solve``
-    relies on this, since there these starts are the whole inventory. With
-    ``rescue=False`` such a start only counts in ``failures``, and the
-    summary holds the attracting pairs the power map converged to: the
-    witness a caller wants when another search, such as the sphere grid of
-    ``conjecture_check``, gives the inventory.
+    iterate, and every other start only counts in ``failures``. So the
+    summary holds the attracting pairs the power map settles on, each with
+    a positive basin count: the witness of the robust pairs, which the
+    sphere-grid Newton of harness._inventory joins to give the inventory.
     """
     if starts < 1:
         raise ValueError("multi_start needs at least one start")
     converged: List[Eigenpair] = []
-    stalled: List[np.ndarray] = []
-    failures = 0
     for i in range(starts):
         d = np.random.default_rng([seed, i]).standard_normal(tensor.dim)
         try:
             run = power_method(tensor, d, max_iter=max_iter)
-        except DegeneratePointError:
-            failures += 1
-            continue
-        if run.status == STATUS_CONVERGED:
-            try:
+            if run.status == STATUS_CONVERGED:
                 converged.append(newton_refine(tensor, run.last))
-            except RefinementError:
-                failures += 1
-        else:
-            failures += 1
-            if rescue:
-                stalled.append(run.last)
-    rescued: List[Eigenpair] = []
-    for start in _newton_starts(tensor, stalled):
-        try:
-            rescued.append(newton_refine(tensor, start))
-        except RefinementError:
-            pass
-    pairs = dedup(converged + rescued)
-    return SolveSummary(pairs, _basin_counts(pairs, converged), failures,
-                        starts)
+        except (DegeneratePointError, RefinementError):
+            pass  # counted in failures
+    pairs = dedup(converged)
+    return SolveSummary(pairs, _basin_counts(pairs, converged),
+                        starts - len(converged), starts)
 
 
 def _generalized_golden(dim: int) -> float:

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import jsonio
 from .eigensolve import (
-    Eigenpair,
     RefinementError,
     SOURCE_CLOSED,
+    SolveSummary,
+    _first_match,
     _newton_starts,
     angle_between,
     dedup,
@@ -35,6 +36,7 @@ from .stability import (
     frame_vector_prediction,
     report_to_payload,
 )
+from .tensors import SymmetricTensor
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATION = "violation"
@@ -134,6 +136,30 @@ def frame_alignment_angle(v: np.ndarray, frame: Frame, order: int) -> float:
     return best
 
 
+def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
+               max_iter: int, grid_points: int) -> SolveSummary:
+    """The eigenpairs of ``eig solve``, and of conjecture_check at n >= 3:
+    multi_start's power witness, at most ``max_iter`` steps a start, and
+    Newton from ``grid_points`` sphere-grid seeds (none in dimension 1),
+    which reaches repelling pairs too, merged by dedup. Each witness pair's
+    basin count goes to the pair it first matches, which it does, since it
+    went into dedup; so a pair only the grid found counts zero."""
+    witness = multi_start(tensor, starts=starts, seed=seed, max_iter=max_iter)
+    found = list(witness.pairs)
+    grid = sphere_grid(tensor.dim, grid_points) if tensor.dim > 1 else []
+    for start in _newton_starts(tensor, grid):
+        try:
+            found.append(newton_refine(tensor, start))
+        except RefinementError:
+            continue
+    pairs = dedup(found)
+    vs = np.array([p.v for p in pairs])
+    counts = [0] * len(pairs)
+    for p, count in zip(witness.pairs, witness.basin_counts):
+        counts[_first_match(p, pairs, vs)] += count
+    return SolveSummary(pairs, counts, witness.failures, starts)
+
+
 @dataclass(eq=False)
 class ConjectureReport:
     """Outcome of one conjecture check: the inventory of eigenpairs found,
@@ -163,19 +189,14 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
 
     n = 2 uses enumerate_2d, the real roots of one binary form, so the
     inventory is complete and the verdict is an actual proof at this scale.
-    For n >= 3 the inventory is Newton's method from ``newton_seeds`` points
-    of a deterministic sphere grid, which reaches repelling pairs as well as
-    attracting ones, stepped in batches, one stacked solve per step;
-    newton_refine accepts the endpoint of each seed, and a seed the batch
-    gives up on is dropped. The ``starts``
-    random power-iteration starts witness the attracting (robust) pairs: each
-    start that converges is Newton-polished and added, and a start that does
-    not converge is dropped, not Newton-rescued. That inventory is a
-    heuristic and bounded-effort one, and the report says so. The default
-    NEWTON_SEEDS grid seeds find every isolated pair of the n = 3, 4 cells;
-    a small grid can miss repelling pairs, as at (3,3), where every start
-    cycles: 5 seeds find 5 of its 7 pairs, and 10 seeds or more find all 7.
-    ``starts`` below 1 is refused at every n, n = 2 included.
+    For n >= 3 the inventory is _inventory's, from ``starts`` random power
+    starts, at most POWER_MAX_ITER steps each, and ``newton_seeds`` sphere
+    grid points: a heuristic and bounded-effort one, as the report says.
+    The default NEWTON_SEEDS grid seeds find every isolated pair of the
+    n = 3, 4 cells; a small grid can miss repelling pairs, as at (3,3),
+    where every start cycles: 5 seeds find 5 of its 7 pairs, and 10 seeds
+    or more find all 7. ``starts`` below 1 is refused at every n, n = 2
+    included.
     """
     if not 2 <= n <= 4:
         raise ValueError("conjecture check is tuned for n in 2..4")
@@ -192,15 +213,8 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
         isotropic = enumeration.isotropic
         heuristic = False
     else:
-        summary = multi_start(tensor, starts=starts, seed=seed,
-                              max_iter=POWER_MAX_ITER, rescue=False)
-        gathered = list(summary.pairs)
-        for start in _newton_starts(tensor, sphere_grid(n, newton_seeds)):
-            try:
-                gathered.append(newton_refine(tensor, start))
-            except RefinementError:
-                continue
-        pairs = dedup(gathered)
+        pairs = _inventory(tensor, starts, seed, POWER_MAX_ITER,
+                           newton_seeds).pairs
         heuristic = True
 
     reports = [classify_pair(tensor, p) for p in pairs]

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from simplex_spectra import (SymmetricTensor, cli, densify, save_tensor,
+from simplex_spectra import (SymmetricTensor, cli, densify,
+                             regular_simplex_frame, save_tensor,
                              simplex_tensor)
 from simplex_spectra.cli import main, parse_int_set
 
@@ -121,14 +122,22 @@ def test_eig_solve_pipeline(tmp_path):
     payload = json.loads(pairs_path.read_text())
     assert payload["seed"] == 1 and payload["starts"] == 60
     assert payload["failures"] == 0
-    assert len(payload["pairs"]) == 4
-    assert sum(payload["basin_counts"]) == 60
+    # (3^3 - 1)/2 = 13 pairs; every start converges to a frame vector
+    assert len(payload["pairs"]) == 13
+    counts = payload["basin_counts"]
+    assert sum(counts) == 60
+    assert sorted(c > 0 for c in counts) == [False] * 9 + [True] * 4
 
     assert run_cli("eig", "classify", "--tensor", str(tensor_path),
                    "--pairs", str(pairs_path), "--out", str(reports_path)) == 0
     reports = json.loads(reports_path.read_text())["reports"]
-    assert all(r["stationarity"] == "local_max" for r in reports)
-    assert all(r["robust"] == "robust" for r in reports)
+    frame = regular_simplex_frame(3).vectors
+    for count, r in zip(counts, reports):
+        at_frame = np.abs(frame.T @ np.array(r["pair"]["v"])).max() > 1 - 1e-12
+        robust = r["robust"] == "robust"
+        assert at_frame == robust == (count > 0)
+        if robust:
+            assert r["stationarity"] == "local_max"
 
 
 def test_eig_classify_rejects_pairs_solved_on_another_tensor(tmp_path, capsys):
@@ -154,6 +163,43 @@ def test_eig_solve_reads_a_saved_dense_tensor(tmp_path):
                    "--starts", "20", "--out", str(tmp_path / "p.json")) == 0
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in (3, 4) for m in (3, 4, 5, 6)]
+                         + [(5, 3), (5, 5)])
+def test_eig_solve_finds_every_odeco_class(tmp_path, n, m):
+    # an odeco tensor has one class per nonempty support B of its
+    # components: v = sum over B of +-e_i / sqrt(|B|), signs up to the class
+    # sign at even m, all positive at odd m; only the n components are robust
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    reports_path = tmp_path / "r.json"
+    run_cli("tensor", "build", "--kind", "odeco", "--n", str(n),
+            "--m", str(m), "--out", str(tensor_path))
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--out", str(pairs_path)) == 0
+    expected = 2 ** n - 1 if m % 2 else (3 ** n - 1) // 2
+    assert len(json.loads(pairs_path.read_text())["pairs"]) == expected
+    assert run_cli("eig", "classify", "--tensor", str(tensor_path),
+                   "--pairs", str(pairs_path), "--out", str(reports_path)) == 0
+    robust = [r["pair"]["v"] for r in
+              json.loads(reports_path.read_text())["reports"]
+              if r["robust"] == "robust"]
+    assert sorted(np.abs(robust).round(12).tolist()) \
+        == np.eye(n)[::-1].tolist()
+
+
+def test_eig_solve_keeps_the_one_class_of_the_line(tmp_path):
+    # n = 1 has no sphere grid; the power starts give its one class
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    run_cli("tensor", "build", "--n", "1", "--m", "4",
+            "--out", str(tensor_path))
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--out", str(pairs_path)) == 0
+    payload = json.loads(pairs_path.read_text())
+    assert [p["v"] for p in payload["pairs"]] == [[1.0]]
+    assert payload["basin_counts"] == [200] and payload["failures"] == 0
+
+
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "1e999"])
 def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
         tmp_path, capsys, monkeypatch, weight):
@@ -167,7 +213,7 @@ def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
     def search(*args, **kwargs):
         raise AssertionError("the search ran on a non-finite tensor")
 
-    monkeypatch.setattr(cli, "multi_start", search)
+    monkeypatch.setattr(cli, "_inventory", search)
     capsys.readouterr()
     assert run_cli("eig", "solve", "--tensor", str(tensor_path),
                    "--out", str(out)) == 1
@@ -449,11 +495,11 @@ def test_each_subcommand_reaches_its_own_handler(tmp_path, capsys):
         (("tensor", "build", "--n", "2", "--m", "5", "--out", str(plane)),
          "wrote simplex tensor"),
         (("eig", "solve", "--tensor", str(tensor), "--starts", "20",
-          "--out", str(pairs)), "found 4 eigenpairs"),
+          "--out", str(pairs)), "found 13 eigenpairs"),
         (("eig", "enumerate2d", "--tensor", str(plane),
           "--out", str(tmp_path / "e.json")), "plane enumeration found"),
         (("eig", "classify", "--tensor", str(tensor), "--pairs", str(pairs),
-          "--out", str(reports)), "classified 4 eigenpairs"),
+          "--out", str(reports)), "classified 13 eigenpairs"),
         (("sweep", "--n", "2", "--m", "3", "--out", str(tmp_path / "s.csv")),
          "wrote 1 sweep rows"),
         (("conjecture", "--n", "2", "--m", "5", "--out",

@@ -41,6 +41,7 @@ from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
                                         SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
+from simplex_spectra.harness import _inventory
 from simplex_spectra.stability import ROB_ROBUST, STAT_DEGENERATE
 from conftest import odeco_tensor, random_factored
 
@@ -554,32 +555,20 @@ def test_newton_starts_fail_an_overflowing_step_without_a_warning():
         assert np.count_nonzero(failure == eigensolve._NON_FINITE) == 1
 
 
-def _stalled_starts(tensor, starts, seed, max_iter):
-    """The last iterates of the starts that multi_start's power iteration
-    does not converge from, drawn as multi_start draws them and handed to
-    power_method unnormalized, as multi_start hands them."""
-    lasts = []
-    for i in range(starts):
-        d = np.random.default_rng([seed, i]).standard_normal(tensor.dim)
-        run = power_method(tensor, d, max_iter=max_iter)
-        if run.status != STATUS_CONVERGED:
-            lasts.append(run.last)
-    return lasts
-
-
 @pytest.mark.parametrize("n, m, starts, max_iter, count", [
     (3, 3, 200, 5000, 7), (2, 3, 40, 60, 3)], ids=["3-3", "2-3"])
-def test_rescue_finds_what_newton_finds_from_each_stalled_start(
+def test_inventory_finds_what_newton_finds_from_each_grid_seed(
         n, m, starts, max_iter, count):
-    # every start cycles or runs out of steps; the rescue steps their last
-    # iterates together, and must find what the test's own loop finds
-    # from each one
+    # every start cycles or runs out of steps, so the pairs are the grid's:
+    # _newton_block steps its seeds together, and the inventory must find
+    # what the test's own loop finds from each one
     t = simplex_tensor(n, m)
-    summary = multi_start(t, starts, seed=0, max_iter=max_iter)
+    summary = _inventory(t, starts, seed=0, max_iter=max_iter,
+                         grid_points=starts)
     assert summary.failures == starts
-    lasts = _stalled_starts(t, starts, 0, max_iter)
-    assert len(lasts) == starts
-    expected = dedup([p for p in (_two_point_newton(t, v) for v in lasts)
+    assert summary.basin_counts == [0] * count
+    expected = dedup([p for p in (_two_point_newton(t, v)
+                                  for v in sphere_grid(n, starts))
                       if p is not None])
     assert len(summary.pairs) == len(expected) == count
     assert all(_reference_same(p, q) for p, q in zip(summary.pairs, expected))
@@ -1022,9 +1011,10 @@ def test_multi_start_counts_basins_under_damped_alternation():
     assert sum(summary.basin_counts) == 100
 
 
-def test_multi_start_rescues_repelling_pairs_with_newton():
+def test_inventory_finds_the_repelling_pairs_with_newton():
+    # rho = 2 at every pair of (2,3), so no power start converges
     t = simplex_tensor(2, 3)
-    summary = multi_start(t, starts=30, seed=7, max_iter=300)
+    summary = _inventory(t, 30, seed=7, max_iter=300, grid_points=30)
     assert summary.failures == 30
     assert len(summary.pairs) == 3
     assert summary.basin_counts == [0, 0, 0]
@@ -1034,31 +1024,10 @@ def test_multi_start_rescues_repelling_pairs_with_newton():
 
 def test_multi_start_without_rescue_keeps_only_converged_starts():
     # every start of the (3,3) simplex cubic cycles, so nothing is left
-    summary = multi_start(simplex_tensor(3, 3), 100, seed=0, max_iter=400,
-                          rescue=False)
+    summary = multi_start(simplex_tensor(3, 3), 100, seed=0, max_iter=400)
     assert summary.pairs == []
     assert summary.basin_counts == []
     assert summary.failures == 100
-
-
-def test_the_sphere_grid_holds_every_pair_the_rescue_finds():
-    # conjecture_check leaves the rescue out because its grid Newton already
-    # reaches every pair that the rescue of cycling starts reaches
-    t = simplex_tensor(3, 3)
-    grid = []
-    for point in sphere_grid(3, 2000):
-        try:
-            grid.append(newton_refine(t, point))
-        except RefinementError:
-            pass
-    inventory = dedup(grid)
-    assert len(inventory) == 7  # ((m-1)^n - 1)/(m - 2), Cartwright-Sturmfels
-    rescued = multi_start(t, starts=200, seed=0)
-    assert rescued.failures == 200 and rescued.pairs
-    for p in rescued.pairs:
-        assert any(abs(p.lam - q.lam) <= MATCH_LAMBDA_TOL
-                   and angle_between(p.v, q.v) <= MATCH_ANGLE_TOL
-                   for q in inventory)
 
 
 def test_multi_start_is_deterministic():
