@@ -79,6 +79,14 @@ def parse_int_set(text: str) -> List[int]:
     return sorted(set(values))
 
 
+def _seed(text: str) -> int:
+    """A --seed value, at every n: a non-negative integer, as numpy needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_frame_build(args) -> int:
     if args.kind == "simplex":
         frame = regular_simplex_frame(args.n)
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_es.add_argument("--tensor", required=True)
     p_es.add_argument("--starts", type=int, default=200,
                       help="power starts, and as many grid seeds")
-    p_es.add_argument("--seed", type=int, default=0)
+    p_es.add_argument("--seed", type=_seed, default=0)
     p_es.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                       help="power-map steps of each start")
     p_es.add_argument("--out", required=True)
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "attracting pairs; the inventory comes from a "
                              f"{NEWTON_SEEDS}-point sphere-grid Newton "
                              "(n >= 3 only)")
-    p_conj.add_argument("--seed", type=int, default=0,
+    p_conj.add_argument("--seed", type=_seed, default=0,
                         help="seed of the random starts (n >= 3 only)")
     p_conj.add_argument("--out", required=True)
     p_conj.add_argument("--no-timestamp", action="store_true")

@@ -360,15 +360,15 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
 
 
 def _newton_starts(tensor: SymmetricTensor,
-                   points: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """The endpoint of each point, a unit vector, that _newton_block
-    retires, in order, for newton_refine to check and accept, after zero
-    steps as a rule. A point the block gives up on is dropped, not stepped
-    again. _newton_block takes _NEWTON_BLOCK points at a time."""
+                   points: np.ndarray) -> List[np.ndarray]:
+    """The endpoint of each row of ``points``, a unit vector, that
+    _newton_block retires, in order, for newton_refine to check and accept,
+    after zero steps as a rule. A row the block gives up on is dropped, not
+    stepped again. _newton_block takes _NEWTON_BLOCK rows at a time."""
     ends: List[np.ndarray] = []
     for lo in range(0, len(points), _NEWTON_BLOCK):
         block_ends, _, _, _, failure, _ = _newton_block(
-            tensor, np.array(points[lo:lo + _NEWTON_BLOCK], dtype=float))
+            tensor, points[lo:lo + _NEWTON_BLOCK])
         ends.extend(block_ends[failure == 0])
     return ends
 
@@ -520,20 +520,20 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
                 max_iter: int = DEFAULT_MAX_ITER) -> SolveSummary:
     """Power iteration from ``starts`` random unit vectors, Newton-polished.
 
-    Start i is one standard-normal draw from the substream seeded by
-    (seed, i), which power_method normalizes, so results do not depend on
-    execution order and identical arguments reproduce the identical summary.
-    newton_refine builds the pair of a converged start from its last
-    iterate, and every other start only counts in ``failures``. So the
-    summary holds the attracting pairs the power map settles on, each with
-    a positive basin count: the witness of the robust pairs, which the
-    sphere-grid Newton of harness._inventory joins to give the inventory.
+    Start i, which power_method normalizes, is row i of one (starts, dim)
+    standard-normal draw from default_rng(seed), whose first k rows are
+    the draw of k rows. newton_refine builds the pair of a converged start
+    from its last iterate, and every other start only counts in
+    ``failures``. So the summary holds the attracting pairs the power map
+    settles on, each with a positive basin count: the witness of the robust
+    pairs, which the sphere-grid Newton of harness._inventory joins to give
+    the inventory.
     """
     if starts < 1:
         raise ValueError("multi_start needs at least one start")
+    draws = np.random.default_rng(seed).standard_normal((starts, tensor.dim))
     converged: List[Eigenpair] = []
-    for i in range(starts):
-        d = np.random.default_rng([seed, i]).standard_normal(tensor.dim)
+    for d in draws:
         try:
             run = power_method(tensor, d, max_iter=max_iter)
             if run.status == STATUS_CONVERGED:
@@ -554,41 +554,31 @@ def _generalized_golden(dim: int) -> float:
     return x
 
 
-def sphere_grid(dim: int, count: int) -> List[np.ndarray]:
-    """Exactly ``count`` deterministic quasi-uniform unit vectors: equal
-    angles on the circle, the golden-angle (Fibonacci) spiral on S^2, and
-    for higher dimensions a Kronecker lattice pushed through the normal
-    quantile and normalized."""
+def sphere_grid(dim: int, count: int) -> np.ndarray:
+    """Exactly ``count`` deterministic quasi-uniform unit vectors, the rows
+    of a (count, dim) array: equal angles on the circle, the golden-angle
+    (Fibonacci) spiral on S^2, and for higher dimensions a Kronecker
+    lattice pushed through the normal quantile and normalized."""
     if dim < 2:
         raise ValueError("sphere grid needs dim >= 2")
     if count < 1:
         raise ValueError("sphere grid needs count >= 1")
+    k = np.arange(count)
     if dim == 2:
-        return [
-            np.array([math.cos(math.pi * k / count), math.sin(math.pi * k / count)])
-            for k in range(count)
-        ]
+        angle = math.pi * k / count
+        return np.stack([np.cos(angle), np.sin(angle)], axis=1)
     if dim == 3:
-        golden_angle = math.pi * (3.0 - math.sqrt(5.0))
-        points = []
-        for k in range(count):
-            z = 1.0 - (2.0 * k + 1.0) / count
-            r = math.sqrt(max(0.0, 1.0 - z * z))
-            points.append(
-                np.array([r * math.cos(golden_angle * k),
-                          r * math.sin(golden_angle * k), z])
-            )
-        return points
+        z = 1.0 - (2.0 * k + 1.0) / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        angle = math.pi * (3.0 - math.sqrt(5.0)) * k
+        return np.stack([r * np.cos(angle), r * np.sin(angle), z], axis=1)
     phi = _generalized_golden(dim)
+    # np.power over a range of exponents rounds some of these differently
     alphas = np.array([(1.0 / phi) ** (i + 1) % 1.0 for i in range(dim)])
-    quantile = NormalDist().inv_cdf
-    points = []
-    for k in range(count):
-        # NormalDist's quantile raises at 0 and 1
-        u = np.clip((0.5 + (k + 1) * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
-        x = np.array([quantile(ui) for ui in u])
-        points.append(x / _norm(x))
-    return points
+    # NormalDist's quantile raises at 0 and 1
+    u = np.clip((0.5 + (k[:, None] + 1) * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
+    x = np.array(list(map(NormalDist().inv_cdf, u.ravel()))).reshape(u.shape)
+    return x / np.sqrt(np.vecdot(x, x))[:, None]
 
 
 def pair_to_payload(pair: Eigenpair) -> dict:

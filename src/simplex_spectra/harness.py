@@ -140,10 +140,10 @@ def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
                max_iter: int, grid_points: int) -> SolveSummary:
     """The eigenpairs of ``eig solve``, and of conjecture_check at n >= 3:
     multi_start's power witness, at most ``max_iter`` steps a start, and
-    Newton from ``grid_points`` sphere-grid seeds (none in dimension 1),
-    which reaches repelling pairs too, merged by dedup. Each witness pair's
-    basin count goes to the pair it first matches, which it does, since it
-    went into dedup; so a pair only the grid found counts zero."""
+    Newton from the ``grid_points`` rows of sphere_grid (none in dimension
+    1), which reaches repelling pairs too, merged by dedup. Each witness
+    pair's basin count goes to the pair it first matches, which it does,
+    since it went into dedup; so a pair only the grid found counts zero."""
     witness = multi_start(tensor, starts=starts, seed=seed, max_iter=max_iter)
     found = list(witness.pairs)
     grid = sphere_grid(tensor.dim, grid_points) if tensor.dim > 1 else []

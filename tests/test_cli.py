@@ -298,6 +298,25 @@ def test_conjecture_refuses_zero_starts_at_every_n(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("conjecture", "--n", "2", "--m", "3"),
+    ("conjecture", "--n", "3", "--m", "3"),
+    ("eig", "solve", "--tensor", "t.json"),
+], ids=["conjecture-n2", "conjecture-n3", "eig-solve"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_bad_seed_is_refused_at_every_n(tmp_path, capsys, monkeypatch,
+                                          command, seed):
+    # n = 2 draws no start, but a report must not record a seed that no
+    # search could use
+    monkeypatch.chdir(tmp_path)
+    save_tensor(simplex_tensor(3, 3), tmp_path / "t.json")
+    out = tmp_path / "c.json"
+    assert run_cli(*command, "--seed", seed, "--out", str(out)) == 1
+    assert "argument --seed: must be a non-negative integer" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eig_enumerate2d_pipeline(tmp_path):
     tensor_path = tmp_path / "t.json"
     pairs_path = tmp_path / "p.json"

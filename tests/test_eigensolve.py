@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import numpy.testing as npt
@@ -139,7 +140,8 @@ def test_power_method_reports_non_convergence_on_repelling_tensor():
 
 @pytest.mark.parametrize("seed, start", [(0, 737), (7, 1894)])
 def test_power_method_catches_a_slowly_drifting_cycle(seed, start):
-    # Starts of `conjecture --n 3 --m 3`, drawn as multi_start draws them.
+    # Starts of `conjecture --n 3 --m 3`, as multi_start drew them before
+    # it drew all its starts from one generator.
     # Their two iterates stay 1.414 apart while the two-step gap stalls at
     # a few 1e-12, above the convergence tol, for hundreds of steps.
     rng = np.random.default_rng([seed, start])
@@ -506,8 +508,8 @@ def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
 
 @pytest.mark.parametrize("build, points, bad, singular, message", [
     (_diagonal_quadratic,
-     [unit([1.0, 0.3]), unit([0.2, 1.0]), unit([1.0, 1.0]),
-      unit([1.0, -0.6]), unit([-0.4, 1.0])], 2, True,
+     np.array([unit([1.0, 0.3]), unit([0.2, 1.0]), unit([1.0, 1.0]),
+               unit([1.0, -0.6]), unit([-0.4, 1.0])]), 2, True,
      "singular linearization after 0 steps"),
     # grid seed 34 of (3,5) runs through all 50 Newton steps
     (lambda: simplex_tensor(3, 5), sphere_grid(3, 2000)[30:40], 4, False,
@@ -533,7 +535,7 @@ def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
     _, _, _, _, failure, best = eigensolve._newton_block(
         t, np.array(points[bad:bad + 1]))
     assert failure[0] and err.value.residual == best[0]
-    alone = eigensolve._newton_starts(t, points[:bad] + points[bad + 1:])
+    alone = eigensolve._newton_starts(t, np.delete(points, bad, axis=0))
     # BLAS may sum a row of the batched contraction in another order when
     # the batch has another size, so endpoints agree to roundoff, not bits
     npt.assert_allclose(ends, alone, rtol=0, atol=1e-14)
@@ -1060,7 +1062,62 @@ def test_multi_start_requires_a_start():
         multi_start(simplex_tensor(2, 3), starts=0, seed=0)
 
 
+def test_multi_start_powers_the_rows_of_one_draw(monkeypatch):
+    t = simplex_tensor(3, 4)
+    handed = []
+
+    def spy(tensor, v0, max_iter, _inner=eigensolve.power_method):
+        handed.append(np.array(v0))
+        return _inner(tensor, v0, max_iter=max_iter)
+
+    monkeypatch.setattr(eigensolve, "power_method", spy)
+    multi_start(t, starts=40, seed=7)
+    draw = np.random.default_rng(7).standard_normal((40, 3))
+    npt.assert_array_equal(np.array(handed), draw)
+    # the first k of K starts are the starts of a run with k
+    handed.clear()
+    multi_start(t, starts=15, seed=7)
+    npt.assert_array_equal(np.array(handed), draw[:15])
+
+
 # ---------------------------------------------------------------- start grids
+
+
+def _sphere_grid_by_points(dim, count):
+    """sphere_grid as one point at a time: the reference its array form
+    keeps, bit for bit."""
+    if dim == 2:
+        return [np.array([math.cos(math.pi * k / count),
+                          math.sin(math.pi * k / count)])
+                for k in range(count)]
+    if dim == 3:
+        golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+        points = []
+        for k in range(count):
+            z = 1.0 - (2.0 * k + 1.0) / count
+            r = math.sqrt(max(0.0, 1.0 - z * z))
+            points.append(np.array([r * math.cos(golden_angle * k),
+                                    r * math.sin(golden_angle * k), z]))
+        return points
+    phi = eigensolve._generalized_golden(dim)
+    alphas = np.array([(1.0 / phi) ** (i + 1) % 1.0 for i in range(dim)])
+    quantile = NormalDist().inv_cdf
+    points = []
+    for k in range(count):
+        u = np.clip((0.5 + (k + 1) * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
+        x = np.array([quantile(ui) for ui in u])
+        points.append(x / eigensolve._norm(x))
+    return points
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("count", [1, 20, 2000])
+def test_sphere_grid_is_one_array_of_the_reference_points(dim, count):
+    grid = sphere_grid(dim, count)
+    assert isinstance(grid, np.ndarray)
+    assert grid.shape == (count, dim) and grid.dtype == np.float64
+    reference = np.array(_sphere_grid_by_points(dim, count))
+    assert grid.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])

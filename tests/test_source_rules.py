@@ -20,7 +20,9 @@ results depend on the arguments alone. Each rule has one home:
 UNIT_NORM_TOL is compared in one function, tensors._as_unit_vector, and
 ACCEPT_TOL is read in eigensolve alone, which accepts every pair, loaded
 ones included. A shape is read from its array: neither Frame nor
-SymmetricTensor takes a dim or count argument.
+SymmetricTensor takes a dim or count argument. The package makes one
+random generator, in one call of default_rng outside any loop, so a run's
+random starts are the rows of one draw.
 """
 
 import ast
@@ -200,3 +202,22 @@ def test_frame_and_tensor_take_no_shape_argument():
     for cls in (simplex_spectra.Frame, simplex_spectra.SymmetricTensor):
         taken = set(inspect.signature(cls).parameters)
         assert not taken & {"dim", "count"}, cls.__name__
+
+
+def _rng_calls(node, name):
+    return [f"{name}:{inner.lineno}" for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and ast.unparse(inner.func).endswith("default_rng")]
+
+
+def test_one_random_generator_outside_any_loop():
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    calls, in_loops = [], []
+    for name, tree in _modules().items():
+        calls.extend(_rng_calls(tree, name))
+        for node in ast.walk(tree):
+            if isinstance(node, loops):
+                in_loops.extend(_rng_calls(node, name))
+    assert len(calls) == 1, calls
+    assert not in_loops, in_loops
