@@ -390,44 +390,47 @@ def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
     return -1
 
 
+def _merge(pairs: Sequence[Eigenpair],
+           counts: Sequence[int]) -> Tuple[List[Eigenpair], List[int]]:
+    """dedup's representatives and, for each, the sum of the ``counts`` of
+    the pairs merged into it: the one place where pairs are matched. Each
+    pair, by ascending KKT residual, merges into the first representative
+    kept that it matches, or is kept, however the representatives sort."""
+    ordered = sorted(zip(pairs, counts), key=lambda pc: (
+        pc[0].kkt_residual, -pc[0].lam, tuple(pc[0].v)))
+    vs = np.array([p.v for p, _ in ordered])
+    reps, totals = [], []
+    for i, (p, count) in enumerate(ordered):
+        r = len(reps)
+        j = _first_match(p, reps, vs[:r])
+        if j >= 0:
+            totals[j] += count
+        else:
+            # rows below r hold the representatives; r <= i, so this
+            # overwrites no row still to be read
+            vs[r] = vs[i]
+            reps.append(p)
+            totals.append(count)
+
+    def order(merged_pair):
+        # rounding Python floats costs a fifth of rounding numpy scalars
+        lam, v = merged_pair[0].lam, merged_pair[0].v.tolist()
+        return (-round(lam / MATCH_LAMBDA_TOL),
+                tuple([round(x / MATCH_ANGLE_TOL) for x in v]), tuple(v))
+
+    merged = sorted(zip(reps, totals), key=order)
+    return [p for p, _ in merged], [count for _, count in merged]
+
+
 def dedup(pairs: Sequence[Eigenpair]) -> List[Eigenpair]:
     """Merge canonicalized duplicates; keep the representative with the
     smallest KKT residual. Output is sorted by descending lambda, then
     lexicographically by eigenvector entries, each rounded to a multiple of
     MATCH_LAMBDA_TOL or MATCH_ANGLE_TOL so that last-bit differences cannot
-    reorder it, and last by the raw entries."""
-    ordered = sorted(
-        pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v))
-    )
-    vs = np.array([p.v for p in ordered])
-    reps: List[Eigenpair] = []
-    for i, p in enumerate(ordered):
-        r = len(reps)
-        if _first_match(p, reps, vs[:r]) < 0:
-            # rows below r hold the representatives; r <= i, so this
-            # overwrites no row still to be read
-            vs[r] = vs[i]
-            reps.append(p)
-
-    def order(p: Eigenpair):
-        # rounding Python floats costs a fifth of rounding numpy scalars
-        v = p.v.tolist()
-        return (-round(p.lam / MATCH_LAMBDA_TOL),
-                tuple([round(x / MATCH_ANGLE_TOL) for x in v]), tuple(v))
-
-    reps.sort(key=order)
-    return reps
-
-
-def _basin_counts(pairs: Sequence[Eigenpair],
-                  converged: Sequence[Eigenpair]) -> List[int]:
-    """How many of ``converged`` first match each of ``pairs``, which dedup
-    merged them into, so that each matches one."""
-    vs = np.array([p.v for p in pairs])
-    counts = [0] * len(pairs)
-    for p in converged:
-        counts[_first_match(p, pairs, vs)] += 1
-    return counts
+    reorder it, and last by the raw entries. _merge picks these and also
+    counts, so a start counts toward the representative its endpoint was
+    merged into."""
+    return _merge(pairs, [0] * len(pairs))[0]
 
 
 @dataclass(eq=False)
@@ -505,9 +508,9 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
 @dataclass(eq=False)
 class SolveSummary:
     """Outcome of a search from ``starts`` random power starts.
-    ``basin_counts[i]`` tallies the starts whose power iteration converged
-    to ``pairs[i]``, so a pair that only Newton from a sphere grid found
-    counts zero. ``failures`` counts the starts whose power iteration did
+    ``basin_counts[i]`` tallies the converged starts whose endpoint was
+    merged into ``pairs[i]``, so a pair that only Newton from a sphere grid
+    found counts zero. ``failures`` counts the starts whose power iteration did
     not converge plus the converged starts whose Newton polish failed."""
 
     pairs: List[Eigenpair]
@@ -524,10 +527,11 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
     standard-normal draw from default_rng(seed), whose first k rows are
     the draw of k rows. newton_refine builds the pair of a converged start
     from its last iterate, and every other start only counts in
-    ``failures``. So the summary holds the attracting pairs the power map
-    settles on, each with a positive basin count: the witness of the robust
-    pairs, which the sphere-grid Newton of harness._inventory joins to give
-    the inventory.
+    ``failures``. _merge weighs each endpoint 1, so a start counts toward
+    the representative its endpoint was merged into, and the summary holds
+    the attracting pairs the power map settles on, each with a positive
+    basin count: the witness of the robust pairs, which the sphere-grid
+    Newton of harness._inventory joins to give the inventory.
     """
     if starts < 1:
         raise ValueError("multi_start needs at least one start")
@@ -540,9 +544,8 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
                 converged.append(newton_refine(tensor, run.last))
         except (DegeneratePointError, RefinementError):
             pass  # counted in failures
-    pairs = dedup(converged)
-    return SolveSummary(pairs, _basin_counts(pairs, converged),
-                        starts - len(converged), starts)
+    pairs, counts = _merge(converged, [1] * len(converged))
+    return SolveSummary(pairs, counts, starts - len(converged), starts)
 
 
 def _generalized_golden(dim: int) -> float:

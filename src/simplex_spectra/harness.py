@@ -17,10 +17,9 @@ from .eigensolve import (
     RefinementError,
     SOURCE_CLOSED,
     SolveSummary,
-    _first_match,
+    _merge,
     _newton_starts,
     angle_between,
-    dedup,
     enumerate_2d,
     make_eigenpair,
     multi_start,
@@ -141,9 +140,9 @@ def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
     """The eigenpairs of ``eig solve``, and of conjecture_check at n >= 3:
     multi_start's power witness, at most ``max_iter`` steps a start, and
     Newton from the ``grid_points`` rows of sphere_grid (none in dimension
-    1), which reaches repelling pairs too, merged by dedup. Each witness
-    pair's basin count goes to the pair it first matches, which it does,
-    since it went into dedup; so a pair only the grid found counts zero."""
+    1), which reaches repelling pairs too, merged by _merge. A witness pair
+    weighs its basin count and a grid pair 0, so a start counts toward the
+    representative its endpoint was merged into; a grid-only pair counts 0."""
     witness = multi_start(tensor, starts=starts, seed=seed, max_iter=max_iter)
     found = list(witness.pairs)
     grid = sphere_grid(tensor.dim, grid_points) if tensor.dim > 1 else []
@@ -152,11 +151,8 @@ def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
             found.append(newton_refine(tensor, start))
         except RefinementError:
             continue
-    pairs = dedup(found)
-    vs = np.array([p.v for p in pairs])
-    counts = [0] * len(pairs)
-    for p, count in zip(witness.pairs, witness.basin_counts):
-        counts[_first_match(p, pairs, vs)] += count
+    weights = witness.basin_counts + [0] * (len(found) - len(witness.pairs))
+    pairs, counts = _merge(found, weights)
     return SolveSummary(pairs, counts, witness.failures, starts)
 
 

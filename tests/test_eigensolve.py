@@ -36,7 +36,7 @@ from simplex_spectra import (
     simplex_tensor,
     sphere_grid,
 )
-from simplex_spectra import eigensolve
+from simplex_spectra import eigensolve, harness
 from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
                                         CYCLE_SEPARATION,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
@@ -838,26 +838,24 @@ def _reference_same(p, r):
             and angle_between(p.v, r.v) <= MATCH_ANGLE_TOL)
 
 
-def _reference_dedup(pairs):
+def _reference_merge(pairs):
+    """dedup by a pairwise scan, and how many of ``pairs`` merge into each
+    representative: the first kept one a pair matches, in residual order."""
     ordered = sorted(pairs, key=lambda p: (p.kkt_residual, -p.lam, tuple(p.v)))
-    reps = []
+    reps, counts = [], []
     for p in ordered:
-        if not any(_reference_same(p, r) for r in reps):
+        j = next((j for j, r in enumerate(reps) if _reference_same(p, r)),
+                 None)
+        if j is None:
             reps.append(p)
-    reps.sort(key=lambda p: (-round(p.lam / MATCH_LAMBDA_TOL),
-                             tuple(round(x / MATCH_ANGLE_TOL) for x in p.v),
-                             tuple(p.v)))
-    return reps
-
-
-def _reference_basin_counts(pairs, converged):
-    counts = [0] * len(pairs)
-    for p in converged:
-        for j, r in enumerate(pairs):
-            if _reference_same(p, r):
-                counts[j] += 1
-                break
-    return counts
+            counts.append(1)
+        else:
+            counts[j] += 1
+    kept = sorted(range(len(reps)), key=lambda j: (
+        -round(reps[j].lam / MATCH_LAMBDA_TOL),
+        tuple(round(x / MATCH_ANGLE_TOL) for x in reps[j].v),
+        tuple(reps[j].v)))
+    return [reps[j] for j in kept], [counts[j] for j in kept]
 
 
 def _family_inventory():
@@ -890,16 +888,50 @@ def _family_inventory():
 
 def test_dedup_and_basin_counts_agree_with_a_pairwise_scan():
     pairs = _family_inventory()
-    expected = _reference_dedup(pairs)
+    expected, _ = _reference_merge(pairs)
     assert 320 < len(expected) < len(pairs)
     for inventory in ([], pairs[:1], pairs):
-        expected = _reference_dedup(inventory)
+        expected, expected_counts = _reference_merge(inventory)
         reps = dedup(inventory)
-        assert len(reps) == len(expected)
-        assert all(a is b for a, b in zip(reps, expected))
-        counts = eigensolve._basin_counts(reps, inventory)
-        assert counts == _reference_basin_counts(expected, inventory)
+        merged, counts = eigensolve._merge(inventory, [1] * len(inventory))
+        assert len(reps) == len(merged) == len(expected)
+        assert all(a is b is c for a, b, c in zip(reps, merged, expected))
+        assert counts == expected_counts
         assert sum(counts) == len(inventory)
+
+
+def _chained_pairs():
+    """a and b lie apart; c lies within the match rule of both. a, with the
+    smallest residual, is kept first, c merges into it, and b sorts first."""
+    return (_pair(1.0, [1.0, 0.0], 1e-13),
+            _pair(1.0, [1.0, -1.5 * MATCH_ANGLE_TOL], 2e-13),
+            _pair(1.0, [1.0, -0.75 * MATCH_ANGLE_TOL], 3e-13))
+
+
+def test_a_start_counts_toward_the_representative_it_merged_into(
+        monkeypatch):
+    a, b, c = _chained_pairs()
+    endpoints = iter([c, b, a])
+    monkeypatch.setattr(eigensolve, "power_method", lambda t, d, max_iter:
+                        eigensolve.PowerResult(STATUS_CONVERGED, 0, d))
+    monkeypatch.setattr(eigensolve, "newton_refine",
+                        lambda t, v: next(endpoints))
+    summary = multi_start(simplex_tensor(2, 3), starts=3, seed=0)
+    assert summary.pairs == [b, a]
+    assert summary.basin_counts == [1, 2]
+
+
+def test_a_witness_pair_counts_toward_the_representative_it_merged_into(
+        monkeypatch):
+    a, b, c = _chained_pairs()
+    grid = iter([a, b])
+    monkeypatch.setattr(harness, "multi_start", lambda *args, **kwargs:
+                        eigensolve.SolveSummary([c], [5], 0, 5))
+    monkeypatch.setattr(harness, "_newton_starts", lambda t, points: points)
+    monkeypatch.setattr(harness, "newton_refine", lambda t, v: next(grid))
+    summary = _inventory(simplex_tensor(2, 3), 5, 0, 10, 2)
+    assert summary.pairs == [b, a]
+    assert summary.basin_counts == [0, 5]
 
 
 # ---------------------------------------------------------------- sign rules

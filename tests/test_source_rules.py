@@ -13,7 +13,8 @@ _newton_block, and _solve_each for its singular stacks, call
 np.linalg.solve, besides enumerate_2d, which solves once for the
 coefficients of its binary form. The pair match is decided once:
 _first_match compares one vectorized chord and does not call
-angle_between. The package's
+angle_between, and pairs are matched in one place: only eigensolve._merge
+calls _first_match, and no other module imports it. The package's
 __all__ names exactly what its __init__ imports, so a removed export
 cannot linger in either list. No module reads the process environment, so
 results depend on the arguments alone. Each rule has one home:
@@ -145,6 +146,22 @@ def test_pair_match_is_one_chord_rule():
     called = {ast.unparse(node.func) for node in ast.walk(match)
               if isinstance(node, ast.Call)}
     assert "angle_between" not in called
+
+
+def test_pairs_are_matched_in_the_one_merge():
+    callers, importers = set(), set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                callers.update(
+                    f"{name}:{node.name}" for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and ast.unparse(call.func).endswith("_first_match"))
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "_first_match" for alias in node.names):
+                importers.add(name)
+    assert callers == {"eigensolve.py:_merge"}
+    assert not importers
 
 
 def test_package_all_matches_its_public_imports():
