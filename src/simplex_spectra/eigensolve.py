@@ -131,16 +131,14 @@ def _unit_start(v0) -> np.ndarray:
     return v / norm
 
 
-def make_eigenpair(tensor: SymmetricTensor, v, iterations: int = 0,
-                   source: str = SOURCE_CLOSED) -> Eigenpair:
+def make_eigenpair(tensor: SymmetricTensor, v) -> Eigenpair:
     """Normalize v through _unit_start, which refuses a zero or non-finite
     vector, evaluate lambda = S v^m, canonicalize, record the residual."""
     v = _unit_start(v)
     lam = apply_m(tensor, v)
     lam, v = canonical_sign(lam, v, tensor.order)
     residual = _norm(apply_m1(tensor, v) - lam * v)
-    return Eigenpair(lam=float(lam), v=v, kkt_residual=residual,
-                     iterations=iterations, source=source)
+    return Eigenpair(lam=float(lam), v=v, kkt_residual=residual)
 
 
 def angle_between(a: np.ndarray, b: np.ndarray) -> float:

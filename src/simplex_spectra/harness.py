@@ -15,7 +15,6 @@ import numpy as np
 from . import jsonio
 from .eigensolve import (
     RefinementError,
-    SOURCE_CLOSED,
     SolveSummary,
     _merge,
     _newton_starts,
@@ -80,8 +79,7 @@ def sweep(n_values: Sequence[int], m_values: Sequence[int]) -> List[SweepRow]:
         for m in sorted(set(int(x) for x in m_values)):
             prediction = frame_vector_prediction(n, m)
             tensor = frame_tensor(frame, m)
-            pair = make_eigenpair(tensor, frame.vectors[:, 0],
-                                  source=SOURCE_CLOSED)
+            pair = make_eigenpair(tensor, frame.vectors[:, 0])
             report = classify_pair(tensor, pair)
             rows.append(SweepRow(
                 n=n,
@@ -221,7 +219,7 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
     expected = closed_form_verdict(prediction.rho)
     frame_verdicts = []
     for j in range(frame.count):
-        fp = make_eigenpair(tensor, frame.vectors[:, j], source=SOURCE_CLOSED)
+        fp = make_eigenpair(tensor, frame.vectors[:, j])
         frame_verdicts.append(classify_pair(tensor, fp).robust)
 
     violation = None

@@ -89,18 +89,6 @@ def _robustness(rho, tol) -> str:
     return ROB_ROBUST if rho < 1 else ROB_NOT_ROBUST
 
 
-def classify_robustness(j_spectrum, lam: float) -> str:
-    """Attractiveness of the pair under the power map, from the J spectrum:
-    _robustness of its spectral radius at ROBUSTNESS_TOL. Pairs with
-    |lambda| at or below LAMBDA_FLOOR have no Jacobian and come back
-    undefined.
-    """
-    if abs(lam) <= LAMBDA_FLOOR:
-        return ROB_UNDEFINED
-    rho = float(np.max(np.abs(np.asarray(j_spectrum, dtype=float))))
-    return _robustness(rho, ROBUSTNESS_TOL)
-
-
 @dataclass(frozen=True)
 class ClosedFormReport:
     """Exact rational predictions for an eigenpair at a simplex frame vector."""

@@ -93,8 +93,8 @@ class SymmetricTensor:
     Exactly one storage form is populated: ``entries`` (dense, shape
     ``(dim,) * order``) or the pair ``weights``/``vectors`` (factored,
     sum of weights[i] * vectors[:, i]^{outer order}). ``dim`` is read
-    from the array given. Instances are immutable; all arrays are
-    read-only copies.
+    from the array given, and dense entries must be permutation symmetric.
+    Instances are immutable; all arrays are read-only copies.
 
     A factored tensor whose table fits the dense cap also holds
     ``pair_products`` (row k: vectors[i, k] * vectors[j, k] over i <= j)
@@ -129,6 +129,16 @@ class SymmetricTensor:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError("dense entries must be finite")
+            # The swaps of adjacent axes generate every permutation of the
+            # axes, so it is enough that each swap moves no entry by more
+            # than SYMMETRY_TOL times the largest magnitude (roundoff).
+            tol = SYMMETRY_TOL * np.max(np.abs(arr))
+            for axis in range(self.order - 1):
+                bad = np.abs(arr - np.swapaxes(arr, axis, axis + 1)) > tol
+                if bad.any():
+                    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+                    raise ValueError(f"dense entries are not permutation "
+                                     f"symmetric at index {idx}")
             object.__setattr__(self, "entries", arr)
         else:
             if self.weights is None or self.vectors is None:
@@ -195,26 +205,13 @@ def from_rank_one_sum(terms: Iterable[Tuple[float, Sequence[float]]],
 
 
 def from_dense(entries) -> SymmetricTensor:
-    """Dense tensor from an ndarray-like, checked to be symmetric at every
-    entry. The swaps of adjacent axes generate every permutation of the
-    axes, so it is enough that each swap moves no entry by more than
-    SYMMETRY_TOL times the largest magnitude, which allows for roundoff."""
+    """Dense tensor from an ndarray-like of at least 2 axes within the dense
+    cap; the constructor checks its symmetry."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim < 2:
         raise ValueError("dense tensor needs at least 2 axes")
     _check_capacity(arr.shape[0], arr.ndim)
-    # built first: its refusals of unequal axes and of inf must precede the
-    # inf - inf of a swap
-    tensor = SymmetricTensor(order=arr.ndim, entries=arr)
-    tol = SYMMETRY_TOL * np.max(np.abs(arr))
-    for axis in range(arr.ndim - 1):
-        bad = np.abs(arr - np.swapaxes(arr, axis, axis + 1)) > tol
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(
-                f"dense entries are not permutation symmetric at index {idx}"
-            )
-    return tensor
+    return SymmetricTensor(order=arr.ndim, entries=arr)
 
 
 def densify(tensor: SymmetricTensor) -> SymmetricTensor:

@@ -295,8 +295,8 @@ def _two_point_newton(tensor, v0, max_iter=50):
         residual = eigensolve._norm(apply_m1(tensor, vn)
                                     - apply_m(tensor, vn) * vn)
         if residual <= ACCEPT_TOL:
-            return make_eigenpair(tensor, vn, iterations=k,
-                                  source=SOURCE_NEWTON)
+            return dataclasses.replace(make_eigenpair(tensor, vn),
+                                       iterations=k, source=SOURCE_NEWTON)
         if k == max_iter:
             return None
         bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * np.eye(n)

@@ -20,10 +20,13 @@ cannot linger in either list. No module reads the process environment, so
 results depend on the arguments alone. Each rule has one home:
 UNIT_NORM_TOL is compared in one function, tensors._as_unit_vector, and
 ACCEPT_TOL is read in eigensolve alone, which accepts every pair, loaded
-ones included. A shape is read from its array: neither Frame nor
-SymmetricTensor takes a dim or count argument. The package makes one
-random generator, in one call of default_rng outside any loop, so a run's
-random starts are the rows of one draw.
+ones included. SYMMETRY_TOL is read in SymmetricTensor.__post_init__ alone,
+so every dense tensor is symmetry-checked by its constructor. LAMBDA_FLOOR is
+read in classify_pair alone, the one verdict from computed spectra. A shape
+is read from its array: neither Frame nor SymmetricTensor takes a dim or
+count argument. The package makes one random generator, in one call of
+default_rng outside any loop, so a run's random starts are the rows of one
+draw.
 """
 
 import ast
@@ -213,6 +216,37 @@ def test_accept_tol_is_read_only_in_eigensolve():
                  and any(alias.name == "ACCEPT_TOL" for alias in node.names)}
     assert readers == {"eigensolve.py"}
     assert not importers
+
+
+def _readers(constant):
+    """Where ``constant`` is read: "module:function", "module:Class.method",
+    or "module:" for a read outside any top-level function or method."""
+    def reads(node):
+        return sum(isinstance(inner, ast.Name) and inner.id == constant
+                   and isinstance(inner.ctx, ast.Load)
+                   for inner in ast.walk(node))
+
+    readers = set()
+    for name, tree in _modules().items():
+        scopes = [(func.name, func) for func in tree.body
+                  if isinstance(func, ast.FunctionDef)]
+        scopes += [(f"{cls.name}.{func.name}", func) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for func in cls.body
+                   if isinstance(func, ast.FunctionDef)]
+        readers.update(f"{name}:{scope}" for scope, func in scopes
+                       if reads(func))
+        if reads(tree) > sum(reads(func) for _, func in scopes):
+            readers.add(f"{name}:")
+    return readers
+
+
+def test_symmetry_tol_is_read_only_in_the_tensor_constructor():
+    assert _readers("SYMMETRY_TOL") == {
+        "tensors.py:SymmetricTensor.__post_init__"}
+
+
+def test_lambda_floor_is_read_only_in_classify_pair():
+    assert _readers("LAMBDA_FLOOR") == {"stability.py:classify_pair"}
 
 
 def test_frame_and_tensor_take_no_shape_argument():

@@ -17,7 +17,6 @@ from simplex_spectra import (
     SymmetricTensor,
     apply_m,
     classify_pair,
-    classify_robustness,
     classify_stationarity,
     closed_form_verdict,
     densify,
@@ -190,10 +189,18 @@ def test_stationarity_saddle():
 
 
 def test_robustness_verdicts():
-    assert classify_robustness([0.0, 0.5], 1.0) == ROB_ROBUST
-    assert classify_robustness([0.0, -1.5], 1.0) == ROB_NOT_ROBUST
-    assert classify_robustness([0.0, 1.0 + 1e-12], 1.0) == ROB_BOUNDARY
-    assert classify_robustness([0.0, 0.5], 1e-9) == ROB_UNDEFINED
+    tol = stability.ROBUSTNESS_TOL
+    assert stability._robustness(0.5, tol) == ROB_ROBUST
+    assert stability._robustness(1.5, tol) == ROB_NOT_ROBUST
+    assert stability._robustness(1.0 + 1e-12, tol) == ROB_BOUNDARY
+    # e1 is an eigenvector of w e1^3 with lambda = w and J = 0: robust just
+    # above LAMBDA_FLOOR and undefined at or below it
+    for weight, verdict in ((2e-8, ROB_ROBUST), (1e-9, ROB_UNDEFINED)):
+        t = SymmetricTensor(order=3, weights=np.array([weight]),
+                            vectors=np.array([[1.0], [0.0]]))
+        pair = make_eigenpair(t, [1.0, 0.0])
+        assert abs(pair.lam - weight) <= 1e-20
+        assert classify_pair(t, pair).robust == verdict
 
 
 def test_classify_pair_full_reports():

@@ -168,6 +168,14 @@ def test_from_dense_flags_asymmetric_entries():
     from_dense(nearly)
 
 
+def test_constructor_flags_asymmetric_dense_entries():
+    # the check lives in the constructor, so direct construction runs it too
+    a = np.array(densify(simplex_tensor(2, 3)).entries)
+    a[0, 1, 1] += 0.5
+    with pytest.raises(ValueError, match="not permutation symmetric"):
+        SymmetricTensor(order=3, entries=a)
+
+
 # ---------------------------------------------------------------- contractions
 
 
