@@ -32,8 +32,6 @@ from .frames import (
     simplex_tensor,
 )
 from .harness import (
-    CONJECTURE_STARTS,
-    NEWTON_SEEDS,
     VERDICT_CONSISTENT,
     _inventory,
     conjecture_check,
@@ -121,20 +119,19 @@ def _cmd_eig_solve(args) -> int:
     tensor = load_tensor(args.tensor)
     summary = _inventory(tensor, args.starts, args.seed, args.max_iter,
                          args.starts)
-    payload = pairs_to_payload(tensor, summary.pairs, seed=args.seed)
-    payload["starts"] = summary.starts
-    payload["failures"] = summary.failures
-    payload["basin_counts"] = summary.basin_counts
+    payload = dict(pairs_to_payload(tensor, summary.pairs), seed=args.seed,
+                   starts=args.starts, failures=summary.failures,
+                   basin_counts=summary.basin_counts)
     jsonio.dump(payload, args.out)
     print(f"found {len(summary.pairs)} eigenpairs "
-          f"({summary.failures}/{summary.starts} starts failed); wrote {args.out}")
+          f"({summary.failures}/{args.starts} starts failed); wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_eig_enumerate2d(args) -> int:
     tensor = load_tensor(args.tensor)
     enumeration = enumerate_2d(tensor)
-    payload = pairs_to_payload(tensor, enumeration.pairs, seed=None)
+    payload = pairs_to_payload(tensor, enumeration.pairs)
     payload["isotropic"] = enumeration.isotropic
     jsonio.dump(payload, args.out)
     label = "isotropic circle (representatives only)" if enumeration.isotropic \
@@ -145,7 +142,7 @@ def _cmd_eig_enumerate2d(args) -> int:
 
 def _cmd_eig_classify(args) -> int:
     tensor = load_tensor(args.tensor)
-    solved_on, pairs, _ = pairs_from_payload(jsonio.load(args.pairs))
+    solved_on, pairs = pairs_from_payload(jsonio.load(args.pairs))
     if tensor_to_payload(solved_on) != tensor_to_payload(tensor):
         raise ValueError(
             f"{args.pairs} was solved on a different tensor than {args.tensor}"
@@ -170,8 +167,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    report = conjecture_check(args.n, args.m, starts=args.starts,
-                              seed=args.seed)
+    report = conjecture_check(args.n, args.m, seed=args.seed)
     payload = conjecture_to_payload(report,
                                     include_timestamp=not args.no_timestamp)
     jsonio.dump(payload, args.out)
@@ -254,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="robust eigenpairs == frame vectors check")
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--m", type=int, required=True)
-    p_conj.add_argument("--starts", type=int, default=CONJECTURE_STARTS,
-                        help="power-iteration starts that witness the "
-                             "attracting pairs; the inventory comes from a "
-                             f"{NEWTON_SEEDS}-point sphere-grid Newton "
-                             "(n >= 3 only)")
     p_conj.add_argument("--seed", type=_seed, default=0,
                         help="seed of the random starts (n >= 3 only)")
     p_conj.add_argument("--out", required=True)

@@ -505,7 +505,7 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
 
 @dataclass(eq=False)
 class SolveSummary:
-    """Outcome of a search from ``starts`` random power starts.
+    """Outcome of a search from random power starts.
     ``basin_counts[i]`` tallies the converged starts whose endpoint was
     merged into ``pairs[i]``, so a pair that only Newton from a sphere grid
     found counts zero. ``failures`` counts the starts whose power iteration did
@@ -514,7 +514,6 @@ class SolveSummary:
     pairs: List[Eigenpair]
     basin_counts: List[int]
     failures: int
-    starts: int
 
 
 def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
@@ -543,7 +542,7 @@ def multi_start(tensor: SymmetricTensor, starts: int, seed: int,
         except (DegeneratePointError, RefinementError):
             pass  # counted in failures
     pairs, counts = _merge(converged, [1] * len(converged))
-    return SolveSummary(pairs, counts, starts - len(converged), starts)
+    return SolveSummary(pairs, counts, starts - len(converged))
 
 
 def _generalized_golden(dim: int) -> float:
@@ -600,17 +599,16 @@ def pair_from_payload(payload: dict) -> Eigenpair:
     )
 
 
-def pairs_to_payload(tensor: SymmetricTensor, pairs: Sequence[Eigenpair],
-                     seed: Optional[int]) -> dict:
+def pairs_to_payload(tensor: SymmetricTensor,
+                     pairs: Sequence[Eigenpair]) -> dict:
     return {
         "tensor": tensor_to_payload(tensor),
         "pairs": [pair_to_payload(p) for p in pairs],
-        "seed": seed,
     }
 
 
 def pairs_from_payload(payload: dict):
-    """Inverse of pairs_to_payload: (tensor, eigenpairs, seed).
+    """Inverse of pairs_to_payload: (tensor, eigenpairs).
 
     Every pair must be an eigenpair of the tensor, with a recomputed
     residual |S v^{m-1} - lambda v| of at most ACCEPT_TOL, since a
@@ -629,4 +627,4 @@ def pairs_from_payload(payload: dict):
                     f"pair {i} has residual {residual:.3g} above ACCEPT_TOL "
                     f"= {ACCEPT_TOL:g}; it is not an eigenpair of its tensor"
                 )
-    return tensor, pairs, payload.get("seed")
+    return tensor, pairs

@@ -151,7 +151,7 @@ def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
             continue
     weights = witness.basin_counts + [0] * (len(found) - len(witness.pairs))
     pairs, counts = _merge(found, weights)
-    return SolveSummary(pairs, counts, witness.failures, starts)
+    return SolveSummary(pairs, counts, witness.failures)
 
 
 @dataclass(eq=False)
@@ -171,7 +171,6 @@ class ConjectureReport:
     violation: Optional[dict]
     heuristic: bool
     isotropic: bool
-    starts: int
     seed: int
 
 
@@ -189,15 +188,12 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
     The default NEWTON_SEEDS grid seeds find every isolated pair of the
     n = 3, 4 cells; a small grid can miss repelling pairs, as at (3,3),
     where every start cycles: 5 seeds find 5 of its 7 pairs, and 10 seeds
-    or more find all 7. ``starts`` below 1 is refused at every n, n = 2
-    included.
+    or more find all 7.
     """
     if not 2 <= n <= 4:
         raise ValueError("conjecture check is tuned for n in 2..4")
     if not 3 <= m <= 6:
         raise ValueError("conjecture check is tuned for m in 3..6")
-    if starts < 1:
-        raise ValueError("conjecture check needs at least one start")
     frame = regular_simplex_frame(n)
     tensor = frame_tensor(frame, m)
     isotropic = False
@@ -256,7 +252,6 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
         violation=violation,
         heuristic=heuristic,
         isotropic=isotropic,
-        starts=starts,
         seed=seed,
     )
 

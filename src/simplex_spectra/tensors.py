@@ -39,7 +39,10 @@ class CapacityError(Exception):
 
 
 def _check_capacity(dim: int, order: int) -> None:
-    if dim ** order > DENSE_CAP:
+    # dim >= 2 to an order of DENSE_CAP.bit_length() or more is over the cap,
+    # so the power is only taken where it is small
+    if dim > 1 and (order >= DENSE_CAP.bit_length()
+                    or dim ** order > DENSE_CAP):
         raise CapacityError(
             f"dense tensor with {dim}^{order} entries exceeds the cap of "
             f"{DENSE_CAP}"
@@ -132,13 +135,18 @@ class SymmetricTensor:
             # The swaps of adjacent axes generate every permutation of the
             # axes, so it is enough that each swap moves no entry by more
             # than SYMMETRY_TOL times the largest magnitude (roundoff).
-            tol = SYMMETRY_TOL * np.max(np.abs(arr))
+            # Each swap is compared one leading-axis slice at a time, so
+            # the temporaries hold 1/dim of the entries.
+            tol = SYMMETRY_TOL * max(arr.max(), -arr.min())
             for axis in range(self.order - 1):
-                bad = np.abs(arr - np.swapaxes(arr, axis, axis + 1)) > tol
-                if bad.any():
-                    idx = tuple(int(i) for i in np.argwhere(bad)[0])
-                    raise ValueError(f"dense entries are not permutation "
-                                     f"symmetric at index {idx}")
+                for i in range(dim):
+                    gap = arr[i] - (arr[:, i] if axis == 0 else
+                                    np.swapaxes(arr[i], axis - 1, axis))
+                    bad = np.abs(gap, out=gap) > tol
+                    if bad.any():
+                        idx = (i, *(int(j) for j in np.argwhere(bad)[0]))
+                        raise ValueError(f"dense entries are not permutation "
+                                         f"symmetric at index {idx}")
             object.__setattr__(self, "entries", arr)
         else:
             if self.weights is None or self.vectors is None:
@@ -312,6 +320,9 @@ def tensor_from_payload(payload: dict) -> SymmetricTensor:
     dim = int(payload["dim"])
     kind = payload["repr"]
     if kind == "dense":
+        if dim < 1:
+            raise ValueError(f"dense payload needs dim >= 1, got {dim}")
+        _check_capacity(dim, order)
         flat = np.asarray(payload["entries"], dtype=float)
         if flat.size != dim ** order:
             raise ValueError(

@@ -1,12 +1,13 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
 from simplex_spectra import (SymmetricTensor, cli, densify,
                              regular_simplex_frame, save_tensor,
-                             simplex_tensor)
+                             simplex_tensor, tensors)
 from simplex_spectra.cli import main, parse_int_set
 
 
@@ -221,16 +222,39 @@ def test_eig_solve_rejects_a_non_finite_tensor_before_searching(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, message", [
+    (3, f"exceeds the cap of {tensors.DENSE_CAP}"),
+    (-3, "needs dim >= 1, got -3")], ids=["dim-3", "dim-minus-3"])
+def test_eig_solve_refuses_a_huge_dense_order_at_once(tmp_path, capsys, dim,
+                                                      message):
+    # the entry count dim^(10^7) was once computed, and printed, in full
+    tensor_path = tmp_path / "t.json"
+    tensor_path.write_text(f'{{"order": 10000000, "dim": {dim}, '
+                           f'"repr": "dense", "entries": [0.0]}}')
+    out = tmp_path / "p.json"
+    start = time.perf_counter()
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--out", str(out)) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "integer string conversion" not in err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("eig", "solve", "--tensor", "{tensor}", "--tol", "1e-9", "--out", "{out}"),
     ("frame", "certify", "--in", "{frame}", "--tol", "1e-6"),
     ("conjecture", "--n", "2", "--m", "3", "--grid", "720", "--out", "{out}"),
     ("eig", "enumerate2d", "--tensor", "{tensor}", "--grid", "720",
      "--out", "{out}"),
+    ("conjecture", "--n", "3", "--m", "3", "--starts", "2000",
+     "--out", "{out}"),
 ], ids=["eig-solve-tol", "frame-certify-tol", "conjecture-grid",
-        "enumerate2d-grid"])
+        "enumerate2d-grid", "conjecture-starts"])
 def test_removed_settings_are_usage_errors(tmp_path, capsys, argv):
-    # POWER_TOL and CERTIFY_TOL are fixed, and n = 2 scans no grid
+    # POWER_TOL and CERTIFY_TOL are fixed, n = 2 scans no grid, and the
+    # conjecture report does not change with its number of power starts
     paths = {name: str(tmp_path / f"{name}.json")
              for name in ("frame", "tensor", "out")}
     run_cli("frame", "build", "--n", "3", "--out", paths["frame"])
@@ -285,17 +309,6 @@ def test_eig_classify_rejects_a_pair_that_is_not_an_eigenpair(
     err = capsys.readouterr().err
     assert "pair 0 " in err and "residual" in err and "ACCEPT_TOL" in err
     assert not reports_path.exists()
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_conjecture_refuses_zero_starts_at_every_n(tmp_path, capsys, n):
-    # n = 2 runs enumerate_2d and no start, but a report must not record
-    # a start count that no search could use
-    out = tmp_path / "c.json"
-    assert run_cli("conjecture", "--n", str(n), "--m", "3", "--starts", "0",
-                   "--out", str(out)) == 1
-    assert "start" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -402,7 +415,7 @@ def test_conjecture_runs_are_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         assert run_cli("conjecture", "--n", "3", "--m", "4",
-                       "--starts", "100", "--seed", "9", "--no-timestamp",
+                       "--seed", "9", "--no-timestamp",
                        "--out", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -498,7 +511,7 @@ def test_help_twice_gives_the_same_text(capsys):
         assert run_cli("conjecture", "--help") == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert "--starts" in outputs[0]
+    assert "--seed" in outputs[0]
 
 
 def test_each_subcommand_reaches_its_own_handler(tmp_path, capsys):
@@ -545,7 +558,7 @@ PINNED_OPTIONS = {
     "eig classify": ["-h", "--help", "--tensor", "--pairs", "--out"],
     "sweep": ["-h", "--help", "--n", "--m", "--format", "--out", "--strict",
               "--no-timestamp"],
-    "conjecture": ["-h", "--help", "--n", "--m", "--starts", "--seed", "--out",
+    "conjecture": ["-h", "--help", "--n", "--m", "--seed", "--out",
                    "--no-timestamp"],
 }
 

@@ -926,7 +926,7 @@ def test_a_witness_pair_counts_toward_the_representative_it_merged_into(
     a, b, c = _chained_pairs()
     grid = iter([a, b])
     monkeypatch.setattr(harness, "multi_start", lambda *args, **kwargs:
-                        eigensolve.SolveSummary([c], [5], 0, 5))
+                        eigensolve.SolveSummary([c], [5], 0))
     monkeypatch.setattr(harness, "_newton_starts", lambda t, points: points)
     monkeypatch.setattr(harness, "newton_refine", lambda t, v: next(grid))
     summary = _inventory(simplex_tensor(2, 3), 5, 0, 10, 2)
@@ -1187,9 +1187,7 @@ def test_sphere_grid_rejects_bad_arguments():
 def test_pairs_payload_round_trip():
     t = simplex_tensor(2, 5)
     pairs = enumerate_2d(t).pairs
-    payload = pairs_to_payload(t, pairs, seed=123)
-    back_t, back_pairs, seed = pairs_from_payload(payload)
-    assert seed == 123
+    back_t, back_pairs = pairs_from_payload(pairs_to_payload(t, pairs))
     assert back_t.order == 5 and back_t.dim == 2
     assert len(back_pairs) == len(pairs)
     for p, q in zip(pairs, back_pairs):
@@ -1200,8 +1198,8 @@ def test_pairs_payload_round_trip():
 def test_pairs_from_payload_accepts_only_eigenpairs_of_its_tensor():
     t = simplex_tensor(3, 4)
     pairs = multi_start(t, 20, seed=0).pairs
-    payload = pairs_to_payload(t, pairs, seed=0)
-    _, back, _ = pairs_from_payload(payload)
+    payload = pairs_to_payload(t, pairs)
+    _, back = pairs_from_payload(payload)
     assert [p.v.tobytes() for p in back] == [p.v.tobytes() for p in pairs]
     # the stored residual is kept as written; only recomputing it tells
     payload["pairs"][1]["lambda"] *= 3.0

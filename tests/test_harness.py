@@ -239,6 +239,15 @@ def test_conjecture_report_depends_on_the_seed_only_through_its_field(n, m):
     assert json.dumps(first) == json.dumps(second)
 
 
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 5)], ids=["3-3", "4-5"])
+def test_conjecture_report_does_not_depend_on_the_number_of_starts(n, m):
+    # the library keeps its starts keyword, which changes no report byte
+    one, default = (json.dumps(conjecture_to_payload(
+        conjecture_check(n, m, **kwargs), False))
+        for kwargs in ({"starts": 1}, {}))
+    assert one == default
+
+
 def test_conjecture_rejects_out_of_range_cells():
     with pytest.raises(ValueError):
         conjecture_check(5, 3)
