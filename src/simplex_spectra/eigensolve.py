@@ -36,9 +36,6 @@ from .tensors import (SymmetricTensor, _as_unit_vector, _norm, apply_m,
 ACCEPT_TOL = 1e-10
 DEGENERATE_CONTRACTION_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
-# _newton_starts steps this many seeds at a time, which bounds its stacked
-# arrays, and so its peak memory, whatever the number of seeds
-_NEWTON_BLOCK = 256
 # The ways _newton_block gives up on a row: its failure code indexes the
 # RefinementError message, formatted with the row's step count.
 _OUT_OF_STEPS, _SINGULAR, _NON_FINITE, _COLLAPSED = 1, 2, 3, 4
@@ -219,9 +216,9 @@ def newton_refine(tensor: SymmetricTensor, v0) -> Eigenpair:
     steps, as the canonical pair (S u^m, u), from one contraction. Any other
     start goes to _newton_block as a batch of one, with that contraction;
     where the block gives up, within _NEWTON_MAX_ITER steps,
-    RefinementError carries the best residual seen. Each endpoint of
-    _newton_starts on the sphere grid comes back here, so every pair is
-    accepted, and signed, by this function.
+    RefinementError carries the best residual seen. Each sphere-grid seed
+    that harness._inventory's one _newton_block retires comes back here, so
+    every pair is accepted, and signed, by this function.
     """
     u = v = _unit_start(v0)
     s = apply_m2(tensor, u)
@@ -272,8 +269,10 @@ def _solve_each(systems: np.ndarray, rhs: np.ndarray):
 def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
                   start: Optional[Tuple[np.ndarray, ...]] = None) -> tuple:
     """newton_refine's iteration on every row of v (B, n) at once: the one
-    place where a Newton step is taken. ``start`` holds _contract at the
-    starts when the caller has it.
+    place where a Newton step is taken, for a batch of one from
+    newton_refine and for the whole sphere grid from harness._inventory.
+    Its stacked arrays, and so its peak memory, grow as B (n+1)^2.
+    ``start`` holds _contract at the starts when the caller has it.
 
     With s = S u^{m-2} at u = v / |v|, g = s u = S u^{m-1} and u.g give the
     residual at u, and since S is homogeneous, |v|^{m-2} s and |v|^{m-1} g
@@ -355,20 +354,6 @@ def _newton_block(tensor: SymmetricTensor, v: np.ndarray,
         s, g, lam_u, residual = _contract(tensor, u)
         low = np.fmin(low, residual)
     return ends, lams, residuals, steps, failure, best
-
-
-def _newton_starts(tensor: SymmetricTensor,
-                   points: np.ndarray) -> List[np.ndarray]:
-    """The endpoint of each row of ``points``, a unit vector, that
-    _newton_block retires, in order, for newton_refine to check and accept,
-    after zero steps as a rule. A row the block gives up on is dropped, not
-    stepped again. _newton_block takes _NEWTON_BLOCK rows at a time."""
-    ends: List[np.ndarray] = []
-    for lo in range(0, len(points), _NEWTON_BLOCK):
-        block_ends, _, _, _, failure, _ = _newton_block(
-            tensor, points[lo:lo + _NEWTON_BLOCK])
-        ends.extend(block_ends[failure == 0])
-    return ends
 
 
 def _first_match(p: Eigenpair, reps: Sequence[Eigenpair],
@@ -467,7 +452,7 @@ def enumerate_2d(tensor: SymmetricTensor) -> Enumeration2D:
     grad = apply_m1(tensor, samples)
     g = samples[0] * grad[1] - samples[1] * grad[0]
     scale = float(np.max(np.linalg.norm(grad, axis=0)))
-    if scale <= 1e-13:
+    if scale <= DEGENERATE_CONTRACTION_TOL:
         raise ValueError(
             "S v^{m-1} vanishes identically on the circle: zero tensor"
         )

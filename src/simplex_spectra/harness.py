@@ -14,10 +14,11 @@ import numpy as np
 
 from . import jsonio
 from .eigensolve import (
+    DEFAULT_MAX_ITER,
     RefinementError,
     SolveSummary,
     _merge,
-    _newton_starts,
+    _newton_block,
     angle_between,
     enumerate_2d,
     make_eigenpair,
@@ -42,8 +43,6 @@ VERDICT_VIOLATION = "violation"
 ROBUST_THRESHOLD_SUM = 7  # robust frame vectors appear exactly when n + m >= 7
 FRAME_ALIGNMENT_TOL = 1e-6
 RHO_AGREEMENT_TOL = 1e-8
-# power-iteration cap for each random start of conjecture_check
-POWER_MAX_ITER = 400
 # random power starts and sphere-grid Newton seeds of conjecture_check
 CONJECTURE_STARTS = 2000
 NEWTON_SEEDS = 2000
@@ -138,17 +137,22 @@ def _inventory(tensor: SymmetricTensor, starts: int, seed: int,
     """The eigenpairs of ``eig solve``, and of conjecture_check at n >= 3:
     multi_start's power witness, at most ``max_iter`` steps a start, and
     Newton from the ``grid_points`` rows of sphere_grid (none in dimension
-    1), which reaches repelling pairs too, merged by _merge. A witness pair
+    1), which reaches repelling pairs too, merged by _merge. One
+    _newton_block steps the whole grid, and newton_refine checks and accepts
+    the endpoint of each row it retires, after zero steps as a rule; a row
+    the block gives up on is dropped, not stepped again. A witness pair
     weighs its basin count and a grid pair 0, so a start counts toward the
     representative its endpoint was merged into; a grid-only pair counts 0."""
     witness = multi_start(tensor, starts=starts, seed=seed, max_iter=max_iter)
     found = list(witness.pairs)
-    grid = sphere_grid(tensor.dim, grid_points) if tensor.dim > 1 else []
-    for start in _newton_starts(tensor, grid):
-        try:
-            found.append(newton_refine(tensor, start))
-        except RefinementError:
-            continue
+    if tensor.dim > 1:
+        ends, _, _, _, failure, _ = _newton_block(
+            tensor, sphere_grid(tensor.dim, grid_points))
+        for start in ends[failure == 0]:
+            try:
+                found.append(newton_refine(tensor, start))
+            except RefinementError:
+                continue
     weights = witness.basin_counts + [0] * (len(found) - len(witness.pairs))
     pairs, counts = _merge(found, weights)
     return SolveSummary(pairs, counts, witness.failures)
@@ -183,8 +187,9 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
     n = 2 uses enumerate_2d, the real roots of one binary form, so the
     inventory is complete and the verdict is an actual proof at this scale.
     For n >= 3 the inventory is _inventory's, from ``starts`` random power
-    starts, at most POWER_MAX_ITER steps each, and ``newton_seeds`` sphere
-    grid points: a heuristic and bounded-effort one, as the report says.
+    starts, at most DEFAULT_MAX_ITER steps each, and ``newton_seeds`` sphere
+    grid points, stepped as one Newton block: a heuristic and bounded-effort
+    one, as the report says.
     The default NEWTON_SEEDS grid seeds find every isolated pair of the
     n = 3, 4 cells; a small grid can miss repelling pairs, as at (3,3),
     where every start cycles: 5 seeds find 5 of its 7 pairs, and 10 seeds
@@ -203,7 +208,7 @@ def conjecture_check(n: int, m: int, starts: int = CONJECTURE_STARTS,
         isotropic = enumeration.isotropic
         heuristic = False
     else:
-        pairs = _inventory(tensor, starts, seed, POWER_MAX_ITER,
+        pairs = _inventory(tensor, starts, seed, DEFAULT_MAX_ITER,
                            newton_seeds).pairs
         heuristic = True
 

@@ -38,6 +38,12 @@ class CapacityError(Exception):
     """A dense tensor would exceed DENSE_CAP entries."""
 
 
+def _check_order(order: int) -> None:
+    # refused before any dim ** order is taken, with one message
+    if order < 2:
+        raise ValueError(f"tensor order must be at least 2, got {order}")
+
+
 def _check_capacity(dim: int, order: int) -> None:
     # dim >= 2 to an order of DENSE_CAP.bit_length() or more is over the cap,
     # so the power is only taken where it is small
@@ -116,8 +122,7 @@ class SymmetricTensor:
         default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("tensor order must be at least 2")
+        _check_order(self.order)
         dense = self.entries is not None
         factored = self.weights is not None or self.vectors is not None
         if dense == factored:
@@ -187,8 +192,7 @@ class SymmetricTensor:
 def outer_power(v, order: int) -> SymmetricTensor:
     """Dense m-th outer power v (x) v (x) ... (x) v of a unit vector."""
     v = _as_unit_vector(v, "outer-power vector")
-    if order < 2:
-        raise ValueError("outer power needs order >= 2")
+    _check_order(order)
     _check_capacity(v.size, order)
     entries = reduce(np.multiply.outer, [v] * order)
     return SymmetricTensor(order=order, entries=entries)
@@ -216,21 +220,23 @@ def from_dense(entries) -> SymmetricTensor:
     """Dense tensor from an ndarray-like of at least 2 axes within the dense
     cap; the constructor checks its symmetry."""
     arr = np.asarray(entries, dtype=float)
-    if arr.ndim < 2:
-        raise ValueError("dense tensor needs at least 2 axes")
+    _check_order(arr.ndim)
     _check_capacity(arr.shape[0], arr.ndim)
     return SymmetricTensor(order=arr.ndim, entries=arr)
 
 
 def densify(tensor: SymmetricTensor) -> SymmetricTensor:
-    """Dense copy of a factored tensor; dense input is returned unchanged."""
+    """Dense copy of a factored tensor; dense input is returned unchanged.
+    Each weight scales the first factor of its outer power, so a term is
+    one full array, added in and dropped before the next is built."""
     if tensor.is_dense:
         return tensor
-    _check_capacity(tensor.dim, tensor.order)
-    total = np.zeros((tensor.dim,) * tensor.order)
+    m = tensor.order
+    _check_capacity(tensor.dim, m)
+    total = np.zeros((tensor.dim,) * m)
     for c, w in zip(tensor.weights, tensor.vectors.T):
-        total += c * reduce(np.multiply.outer, [w] * tensor.order)
-    return SymmetricTensor(order=tensor.order, entries=total)
+        total += reduce(np.multiply.outer, [c * w] + [w] * (m - 1))
+    return SymmetricTensor(order=m, entries=total)
 
 
 def _check_operand(tensor: SymmetricTensor, v) -> np.ndarray:
@@ -317,6 +323,7 @@ def tensor_to_payload(tensor: SymmetricTensor) -> dict:
 
 def tensor_from_payload(payload: dict) -> SymmetricTensor:
     order = int(payload["order"])
+    _check_order(order)
     dim = int(payload["dim"])
     kind = payload["repr"]
     if kind == "dense":

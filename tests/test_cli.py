@@ -242,6 +242,21 @@ def test_eig_solve_refuses_a_huge_dense_order_at_once(tmp_path, capsys, dim,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", [1, -5])
+def test_a_dense_file_below_order_two_is_refused_by_its_order(
+        tmp_path, capsys, order):
+    # the order is refused before the entry count, which at -5 is 3^-5
+    tensor_path = tmp_path / "t.json"
+    tensor_path.write_text(f'{{"order": {order}, "dim": 3, '
+                           f'"repr": "dense", "entries": [0.0]}}')
+    out = tmp_path / "p.json"
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path),
+                   "--out", str(out)) == 1
+    assert f"tensor order must be at least 2, got {order}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("eig", "solve", "--tensor", "{tensor}", "--tol", "1e-9", "--out", "{out}"),
     ("frame", "certify", "--in", "{frame}", "--tol", "1e-6"),
@@ -354,6 +369,20 @@ def test_eig_enumerate2d_resolves_two_roots_inside_one_scan_cell(tmp_path):
     payload = json.loads(pairs_path.read_text())
     assert len(payload["pairs"]) == 3
     assert "grid" not in payload
+
+
+def test_eig_enumerate2d_refuses_a_tiny_tensor_as_zero(tmp_path, capsys):
+    # at weight 5e-13, |S v^{m-1}| is below DEGENERATE_CONTRACTION_TOL, where
+    # the power map also calls it vanished, not isotropic
+    tensor_path = tmp_path / "t.json"
+    pairs_path = tmp_path / "p.json"
+    save_tensor(SymmetricTensor(order=3, weights=np.full(3, 5e-13),
+                                vectors=regular_simplex_frame(2).vectors),
+                tensor_path)
+    assert run_cli("eig", "enumerate2d", "--tensor", str(tensor_path),
+                   "--out", str(pairs_path)) == 1
+    assert "zero tensor" in capsys.readouterr().err
+    assert not pairs_path.exists()
 
 
 def test_eig_enumerate2d_isotropic_flag(tmp_path):

@@ -466,6 +466,12 @@ def test_newton_refine_agrees_on_dense_and_factored_storage():
     assert steps > 0
 
 
+def _retired(tensor, points):
+    # the endpoints of the rows of points that one _newton_block retires
+    ends, _, _, _, failure, _ = eigensolve._newton_block(tensor, points)
+    return ends[failure == 0]
+
+
 def _grid_inventory(tensor, starts):
     pairs = []
     for start in starts:
@@ -484,7 +490,7 @@ def test_batched_grid_newton_finds_the_scalar_inventory(n, m):
     points = sphere_grid(n, 2000)
     scalar = dedup([p for p in (_two_point_newton(t, v0) for v0 in points)
                     if p is not None])
-    batched = _grid_inventory(t, eigensolve._newton_starts(t, points))
+    batched = _grid_inventory(t, _retired(t, points))
     assert len(batched) == len(scalar)
     assert all(_reference_same(p, q) for p, q in zip(batched, scalar))
 
@@ -496,7 +502,7 @@ def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
     t = simplex_tensor(4, 6)
     points = sphere_grid(4, 2000)
     scalar = _grid_inventory(t, points)
-    batched = _grid_inventory(t, eigensolve._newton_starts(t, points))
+    batched = _grid_inventory(t, _retired(t, points))
     for a, b in ((scalar, batched), (batched, scalar)):
         assert all(any(abs(p.lam - q.lam) <= MATCH_LAMBDA_TOL for q in b)
                    for p in a)
@@ -515,8 +521,8 @@ def test_batched_grid_newton_keeps_the_classes_of_the_singular_cell():
     (lambda: simplex_tensor(3, 5), sphere_grid(3, 2000)[30:40], 4, False,
      "no convergence within 50 Newton steps"),
 ], ids=["singular", "out-of-steps"])
-def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
-                                           message, monkeypatch):
+def test_grid_newton_drops_a_failing_seed(build, points, bad, singular,
+                                          message, monkeypatch):
     t = build()
     solved_each = []
 
@@ -525,7 +531,7 @@ def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
         return _inner(systems, rhs)
 
     monkeypatch.setattr(eigensolve, "_solve_each", spy)
-    ends = eigensolve._newton_starts(t, points)
+    ends = _retired(t, points)
     assert bool(solved_each) == singular
     assert len(ends) == len(points) - 1
     # stepped alone, the dropped seed still fails in newton_refine
@@ -535,7 +541,7 @@ def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
     _, _, _, _, failure, best = eigensolve._newton_block(
         t, np.array(points[bad:bad + 1]))
     assert failure[0] and err.value.residual == best[0]
-    alone = eigensolve._newton_starts(t, np.delete(points, bad, axis=0))
+    alone = _retired(t, np.delete(points, bad, axis=0))
     # BLAS may sum a row of the batched contraction in another order when
     # the batch has another size, so endpoints agree to roundoff, not bits
     npt.assert_allclose(ends, alone, rtol=0, atol=1e-14)
@@ -544,17 +550,32 @@ def test_newton_starts_drop_a_failing_seed(build, points, bad, singular,
 
 
 @pytest.mark.filterwarnings("error")
-def test_newton_starts_fail_an_overflowing_step_without_a_warning():
-    # on the odeco (4,5) grid one seed of the block at 768 and one of the
-    # block at 1792 step out of range; they fail, quietly, as non-finite
+def test_grid_newton_fails_an_overflowing_step_without_a_warning():
+    # on the odeco (4,5) grid seeds 866 and 1978 step out of range; they
+    # fail, quietly, as non-finite
     t = frame_tensor(orthonormal_frame(4), 5)
     points = sphere_grid(4, 2000)
-    assert len(eigensolve._newton_starts(t, points)) < len(points)
-    for lo, row in ((768, 98), (1792, 186)):
-        _, _, _, _, failure, _ = eigensolve._newton_block(
-            t, np.array(points[lo:lo + eigensolve._NEWTON_BLOCK]))
-        assert failure[row] == eigensolve._NON_FINITE
-        assert np.count_nonzero(failure == eigensolve._NON_FINITE) == 1
+    assert len(_retired(t, points)) < len(points)
+    _, _, _, _, failure, _ = eigensolve._newton_block(t, points)
+    npt.assert_array_equal(
+        (failure == eigensolve._NON_FINITE).nonzero()[0], [866, 1978])
+
+
+def test_inventory_steps_the_whole_grid_in_one_newton_block(monkeypatch):
+    # at (3,3) every power start cycles, so no polish steps, and each grid
+    # endpoint is accepted after zero steps: every Newton step is the grid's
+    rows = []
+
+    def spy(tensor, v, start=None, _inner=eigensolve._newton_block):
+        rows.append(len(v))
+        return _inner(tensor, v, start)
+
+    monkeypatch.setattr(eigensolve, "_newton_block", spy)
+    monkeypatch.setattr(harness, "_newton_block", spy)
+    summary = _inventory(simplex_tensor(3, 3), 20, seed=0, max_iter=5000,
+                         grid_points=2000)
+    assert rows == [2000]
+    assert len(summary.pairs) == 7
 
 
 @pytest.mark.parametrize("n, m, starts, max_iter, count", [
@@ -603,6 +624,24 @@ def test_enumerate_2d_flags_the_isotropic_quartic():
     for p in res.pairs:
         npt.assert_allclose(p.lam, 1.125, atol=1e-12)
         assert p.kkt_residual <= 1e-12
+
+
+def test_enumerate_2d_decides_a_zero_tensor_as_the_power_map_does():
+    # at weight 5e-13 S v^{m-1} is below DEGENERATE_CONTRACTION_TOL on the
+    # whole circle, where power_method refuses every start, so it is zero,
+    # not isotropic. At 2e-12 the tensor keeps its 3 classes.
+    def tiny(weight):
+        return SymmetricTensor(order=3, weights=np.full(3, weight),
+                               vectors=regular_simplex_frame(2).vectors)
+
+    with pytest.raises(ValueError, match="zero tensor"):
+        enumerate_2d(tiny(5e-13))
+    for start in sphere_grid(2, 5):
+        with pytest.raises(eigensolve.DegeneratePointError):
+            power_method(tiny(5e-13), start)
+    res = enumerate_2d(tiny(2e-12))
+    assert not res.isotropic and len(res.pairs) == 3
+    assert enumerate_2d(simplex_tensor(2, 4)).isotropic
 
 
 def test_enumerate_2d_finds_frame_directions():
@@ -927,7 +966,8 @@ def test_a_witness_pair_counts_toward_the_representative_it_merged_into(
     grid = iter([a, b])
     monkeypatch.setattr(harness, "multi_start", lambda *args, **kwargs:
                         eigensolve.SolveSummary([c], [5], 0))
-    monkeypatch.setattr(harness, "_newton_starts", lambda t, points: points)
+    monkeypatch.setattr(harness, "_newton_block", lambda t, points: (
+        points, None, None, None, np.zeros(len(points), dtype=int), None))
     monkeypatch.setattr(harness, "newton_refine", lambda t, v: next(grid))
     summary = _inventory(simplex_tensor(2, 3), 5, 0, 10, 2)
     assert summary.pairs == [b, a]

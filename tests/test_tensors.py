@@ -193,6 +193,19 @@ def test_symmetry_check_holds_a_small_share_of_the_entries():
         SymmetricTensor(order=6, entries=entries)
 
 
+def test_densify_holds_one_term_beside_the_sum():
+    # each weight scales its first factor, so a term is one full array
+    # beside the running sum
+    t = simplex_tensor(10, 6)
+    tracemalloc.start()
+    try:
+        entries = densify(t).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * entries.nbytes
+
+
 # ---------------------------------------------------------------- contractions
 
 
