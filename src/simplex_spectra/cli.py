@@ -276,7 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError, CapacityError) as exc:
+    # a file of the wrong shape (a null or a list where a number or an
+    # object belongs) is a usage error too, reported as TypeError
+    except (ValueError, TypeError, OSError, KeyError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

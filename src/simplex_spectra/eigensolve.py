@@ -65,9 +65,6 @@ POWER_TOL = 1e-12
 CYCLE_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 5000  # power-map steps of power_method and multi_start
 
-SOURCE_NEWTON = "newton"
-SOURCE_CLOSED = "closed_form"
-
 STATUS_CONVERGED = "converged"
 STATUS_CYCLING = "cycling"
 STATUS_MAX_ITER = "max_iter"
@@ -87,13 +84,12 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """A canonicalized Z-eigenpair with its KKT residual and provenance."""
+    """A canonicalized Z-eigenpair with its KKT residual."""
 
     lam: float
     v: np.ndarray
     kkt_residual: float
     iterations: int = 0
-    source: str = SOURCE_CLOSED
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and math.isfinite(self.kkt_residual)):
@@ -237,8 +233,7 @@ def newton_refine(tensor: SymmetricTensor, v0) -> Eigenpair:
         u, lam_u, residual = ends[0], float(lams[0]), float(residuals[0])
     # a sign flip leaves the residual's bits as they are
     lam_u, u = canonical_sign(lam_u, u, tensor.order)
-    return Eigenpair(lam=lam_u, v=u, kkt_residual=residual, iterations=k,
-                     source=SOURCE_NEWTON)
+    return Eigenpair(lam=lam_u, v=u, kkt_residual=residual, iterations=k)
 
 
 def _contract(tensor: SymmetricTensor, u: np.ndarray):
@@ -571,7 +566,6 @@ def pair_to_payload(pair: Eigenpair) -> dict:
         "lambda": float(pair.lam),
         "v": [float(x) for x in pair.v],
         "residual": float(pair.kkt_residual),
-        "source": pair.source,
     }
 
 
@@ -580,7 +574,6 @@ def pair_from_payload(payload: dict) -> Eigenpair:
         lam=float(payload["lambda"]),
         v=np.asarray(payload["v"], dtype=float),
         kkt_residual=float(payload["residual"]),
-        source=str(payload.get("source", SOURCE_CLOSED)),
     )
 
 

@@ -153,24 +153,14 @@ def simplex_tensor(n: int, m: int) -> SymmetricTensor:
 
 
 def frame_to_payload(frame: Frame) -> dict:
-    return {
-        "dim": frame.dim,
-        "count": frame.count,
-        "vectors": [[float(x) for x in frame.vectors[:, j]]
-                    for j in range(frame.count)],
-    }
+    return {"vectors": [[float(x) for x in frame.vectors[:, j]]
+                        for j in range(frame.count)]}
 
 
 def frame_from_payload(payload: dict) -> Frame:
-    dim = int(payload["dim"])
-    count = int(payload["count"])
-    cols = payload["vectors"]
-    if len(cols) != count:
-        raise ValueError(f"frame payload lists {len(cols)} vectors, header says {count}")
-    vecs = np.array(cols, dtype=float).T
-    if vecs.size == 0 or vecs.shape != (dim, count):
-        raise ValueError("frame payload vectors do not match the declared dim")
-    return Frame(vecs)
+    """The frame whose columns are the listed vectors; Frame refuses a list
+    that is empty, ragged or not finite."""
+    return Frame(np.array(payload["vectors"], dtype=float).T)
 
 
 def save_frame(frame: Frame, path) -> None:

@@ -26,6 +26,10 @@ def _reject_constant(name: str):
 
 def load(path):
     """Parse a JSON file, rejecting the NaN and Infinity constants that the
-    stock decoder accepts and that no payload of the package contains."""
-    return json.loads(Path(path).read_text(encoding="utf-8"),
-                      parse_constant=_reject_constant)
+    stock decoder accepts and that no payload of the package contains, and
+    any nesting too deep for the decoder's recursion."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None

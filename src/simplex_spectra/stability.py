@@ -93,8 +93,6 @@ def _robustness(rho, tol) -> str:
 class ClosedFormReport:
     """Exact rational predictions for an eigenpair at a simplex frame vector."""
 
-    n: int
-    m: int
     lam: Fraction
     j_nonzero_eig: Fraction
     rho: Fraction
@@ -121,13 +119,7 @@ def frame_vector_prediction(n: int, m: int) -> ClosedFormReport:
     lam = 1 + Fraction(n, (-n) ** m)
     j_nonzero = Fraction((n + 1) * (m - 1), denom)
     rho = abs(j_nonzero) if n > 1 else Fraction(0)
-    return ClosedFormReport(
-        n=n,
-        m=m,
-        lam=lam,
-        j_nonzero_eig=j_nonzero,
-        rho=rho,
-    )
+    return ClosedFormReport(lam=lam, j_nonzero_eig=j_nonzero, rho=rho)
 
 
 def closed_form_verdict(rho: Fraction) -> str:

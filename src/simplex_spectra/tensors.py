@@ -184,10 +184,6 @@ class SymmetricTensor:
     def is_dense(self) -> bool:
         return self.entries is not None
 
-    @property
-    def is_factored(self) -> bool:
-        return self.entries is None
-
 
 def outer_power(v, order: int) -> SymmetricTensor:
     """Dense m-th outer power v (x) v (x) ... (x) v of a unit vector."""
@@ -303,6 +299,8 @@ def apply_m2(tensor: SymmetricTensor, v) -> np.ndarray:
 
 
 def tensor_to_payload(tensor: SymmetricTensor) -> dict:
+    """A dense tensor's flat entries cannot give their own shape, so its
+    payload states ``dim``; a factored payload's term vectors give it."""
     if tensor.is_dense:
         return {
             "order": tensor.order,
@@ -312,7 +310,6 @@ def tensor_to_payload(tensor: SymmetricTensor) -> dict:
         }
     return {
         "order": tensor.order,
-        "dim": tensor.dim,
         "repr": "factored",
         "terms": [
             {"weight": float(c), "vector": [float(x) for x in w]}
@@ -324,9 +321,9 @@ def tensor_to_payload(tensor: SymmetricTensor) -> dict:
 def tensor_from_payload(payload: dict) -> SymmetricTensor:
     order = int(payload["order"])
     _check_order(order)
-    dim = int(payload["dim"])
     kind = payload["repr"]
     if kind == "dense":
+        dim = int(payload["dim"])
         if dim < 1:
             raise ValueError(f"dense payload needs dim >= 1, got {dim}")
         _check_capacity(dim, order)
@@ -337,13 +334,8 @@ def tensor_from_payload(payload: dict) -> SymmetricTensor:
             )
         return from_dense(flat.reshape((dim,) * order))
     if kind == "factored":
-        terms = [(t["weight"], t["vector"]) for t in payload["terms"]]
-        tensor = from_rank_one_sum(terms, order)
-        if tensor.dim != dim:
-            raise ValueError(
-                f"factored payload vectors have dim {tensor.dim}, header says {dim}"
-            )
-        return tensor
+        return from_rank_one_sum(
+            ((t["weight"], t["vector"]) for t in payload["terms"]), order)
     raise ValueError(f"unknown tensor repr {kind!r}")
 
 

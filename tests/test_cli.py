@@ -5,10 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from simplex_spectra import (SymmetricTensor, cli, densify,
-                             regular_simplex_frame, save_tensor,
-                             simplex_tensor, tensors)
+from simplex_spectra import (SymmetricTensor, cli, densify, enumerate_2d,
+                             load_frame, load_tensor, regular_simplex_frame,
+                             save_tensor, simplex_tensor, tensors)
 from simplex_spectra.cli import main, parse_int_set
+from simplex_spectra.eigensolve import pair_to_payload, pairs_from_payload
+from simplex_spectra.frames import frame_to_payload
+from simplex_spectra.tensors import tensor_to_payload
 
 
 def run_cli(*argv):
@@ -57,7 +60,7 @@ def test_certify_flags_broken_frame_with_exit_two(tmp_path, capsys):
     v = np.eye(3)
     v[0, 0] = 1.01
     bad.write_text(json.dumps(
-        {"dim": 3, "count": 3, "vectors": [list(col) for col in v.T]}
+        {"vectors": [list(col) for col in v.T]}
     ))
     assert run_cli("frame", "certify", "--in", str(bad)) == 2
     report = json.loads(capsys.readouterr().out)
@@ -72,7 +75,7 @@ def test_tensor_build_writes_factored_payload(tmp_path):
     assert run_cli("tensor", "build", "--kind", "simplex",
                    "--n", "2", "--m", "3", "--out", str(out)) == 0
     payload = json.loads(out.read_text())
-    assert payload["order"] == 3 and payload["dim"] == 2
+    assert payload["order"] == 3 and "dim" not in payload
     assert payload["repr"] == "factored"
     assert len(payload["terms"]) == 3
 
@@ -604,3 +607,133 @@ def _options(parser, path=()):
 
 def test_each_command_has_exactly_the_pinned_options():
     assert _options(cli.build_parser()) == PINNED_OPTIONS
+
+
+# ---------------------------------------------------------------- file formats
+
+
+# The keys of every file kind the CLI writes, and of a pair record. A file
+# states no fact that another of its keys already gives: a frame's and a
+# factored tensor's arrays give their shape, so only a dense tensor, whose
+# flat entries cannot, keeps "dim".
+FILE_KEYS = {
+    "dense tensor": {"order", "dim", "repr", "entries"},
+    "factored tensor": {"order", "repr", "terms"},
+    "frame": {"vectors"},
+    "eig solve": {"tensor", "pairs", "seed", "starts", "failures",
+                  "basin_counts"},
+    "eig enumerate2d": {"tensor", "pairs", "isotropic"},
+    "eig classify": {"reports"},
+    "conjecture": {"n", "m", "seed", "isotropic", "heuristic", "found_pairs",
+                   "robust_pairs", "frame_verdicts", "frame_verdict_expected",
+                   "frame_alignment", "verdict", "violation"},
+    "sweep": {"rows"},
+    "pair": {"lambda", "v", "residual"},
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Each file kind the CLI writes, as a list of the payloads of that kind
+    found in one run of every command."""
+    d = tmp_path_factory.mktemp("formats")
+    save_tensor(densify(simplex_tensor(2, 5)), d / "dense.json")
+    for argv in (("frame", "build", "--n", "3", "--out", "frame.json"),
+                 ("tensor", "build", "--n", "3", "--m", "4", "--out", "t.json"),
+                 ("eig", "solve", "--tensor", "t.json", "--starts", "20",
+                  "--out", "solve.json"),
+                 ("eig", "classify", "--tensor", "t.json",
+                  "--pairs", "solve.json", "--out", "classify.json"),
+                 ("eig", "enumerate2d", "--tensor", "dense.json",
+                  "--out", "plane.json"),
+                 ("conjecture", "--n", "2", "--m", "5", "--no-timestamp",
+                  "--out", "conjecture.json"),
+                 ("sweep", "--n", "2", "--m", "3", "--format", "json",
+                  "--no-timestamp", "--out", "sweep.json")):
+        assert run_cli(*(str(d / a) if a.endswith(".json") else a
+                         for a in argv)) == 0
+    files = {name: json.loads((d / f"{name}.json").read_text())
+             for name in ("frame", "t", "solve", "classify", "plane",
+                          "conjecture", "sweep")}
+    reports = files["classify"]["reports"] + files["conjecture"]["robust_pairs"]
+    return {
+        "dense tensor": [files["plane"]["tensor"]],
+        "factored tensor": [files["t"], files["solve"]["tensor"]],
+        "frame": [files["frame"]],
+        "eig solve": [files["solve"]],
+        "eig enumerate2d": [files["plane"]],
+        "eig classify": [files["classify"]],
+        "conjecture": [files["conjecture"]],
+        "sweep": [files["sweep"]],
+        "pair": (files["solve"]["pairs"] + files["plane"]["pairs"]
+                 + [r["pair"] for r in reports]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KEYS))
+def test_each_file_kind_has_exactly_its_keys(written, kind):
+    assert written[kind]
+    for payload in written[kind]:
+        assert set(payload) == FILE_KEYS[kind]
+
+
+def test_a_file_with_the_earlier_shape_headers_loads_the_same(tmp_path):
+    # files once stated a frame's dim and count, a factored tensor's dim and
+    # each pair's "source"; a reader ignores keys outside the format
+    frame = regular_simplex_frame(2)
+    tensor = simplex_tensor(2, 3)
+    pairs = enumerate_2d(tensor).pairs
+    old_frame = {"dim": 2, "count": 3, **frame_to_payload(frame)}
+    old_tensor = {"dim": 2, **tensor_to_payload(tensor)}
+    old_pairs = {"tensor": old_tensor,
+                 "pairs": [dict(pair_to_payload(p), source=source)
+                           for p, source in zip(pairs, ("newton",
+                                                        "closed_form",
+                                                        "newton"))]}
+    for name, payload in (("f", old_frame), ("t", old_tensor),
+                          ("p", old_pairs)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    assert load_frame(tmp_path / "f.json").vectors.tobytes() \
+        == frame.vectors.tobytes()
+    solved_on, back = pairs_from_payload(json.loads(
+        (tmp_path / "p.json").read_text()))
+    for t in (load_tensor(tmp_path / "t.json"), solved_on):
+        assert t.order == tensor.order
+        assert t.weights.tobytes() == tensor.weights.tobytes()
+        assert t.vectors.tobytes() == tensor.vectors.tobytes()
+    assert len(back) == len(pairs)
+    for got, want in zip(back, pairs):
+        assert (got.lam, got.kkt_residual) == (want.lam, want.kkt_residual)
+        assert got.v.tobytes() == want.v.tobytes()
+
+
+# one factored term in the plane, with the dim header that earlier files
+# carried, so an earlier reader also gets as far as the malformed part
+_PLANE = ('{"order": 3, "dim": 2, "repr": "factored", "terms": '
+          '[{"weight": 1.0, "vector": [1.0, 0.0]}]}')
+
+
+@pytest.mark.parametrize("command, text", [
+    ("classify", f'{{"tensor": {_PLANE}, "pairs": '
+                 '[{"lambda": null, "v": [1.0, 0.0], "residual": 0.0}]}'),
+    ("solve", '{"order": null, "dim": 2, "repr": "factored", "terms": []}'),
+    ("solve", '{"order": 3, "dim": 2, "repr": "factored", "terms": 5}'),
+    ("solve", "[1, 2]"),
+    ("solve", "null"),
+    ("certify", '{"dim": 3, "count": 3, "vectors": null}'),
+    ("solve", "[" * 100_000 + "]" * 100_000),
+], ids=["null-lambda", "null-order", "number-terms", "list", "null",
+        "null-vectors", "deep-nesting"])
+def test_a_malformed_file_is_a_usage_error(tmp_path, capsys, command, text):
+    tensor_path, bad, out = (tmp_path / name for name in
+                             ("t.json", "bad.json", "out.json"))
+    tensor_path.write_text(_PLANE)
+    bad.write_text(text)
+    argv = {"classify": ("eig", "classify", "--tensor", tensor_path,
+                         "--pairs", bad, "--out", out),
+            "solve": ("eig", "solve", "--tensor", bad, "--out", out),
+            "certify": ("frame", "certify", "--in", bad)}[command]
+    assert run_cli(*map(str, argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

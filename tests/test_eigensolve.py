@@ -40,7 +40,6 @@ from simplex_spectra import eigensolve, harness
 from simplex_spectra.eigensolve import (ACCEPT_TOL, CYCLE_GAP_TOL,
                                         CYCLE_SEPARATION,
                                         MATCH_ANGLE_TOL, MATCH_LAMBDA_TOL,
-                                        SOURCE_NEWTON,
                                         pairs_from_payload, pairs_to_payload)
 from simplex_spectra.harness import _inventory
 from simplex_spectra.stability import ROB_ROBUST, STAT_DEGENERATE
@@ -295,8 +294,7 @@ def _two_point_newton(tensor, v0, max_iter=50):
         residual = eigensolve._norm(apply_m1(tensor, vn)
                                     - apply_m(tensor, vn) * vn)
         if residual <= ACCEPT_TOL:
-            return dataclasses.replace(make_eigenpair(tensor, vn),
-                                       iterations=k, source=SOURCE_NEWTON)
+            return dataclasses.replace(make_eigenpair(tensor, vn), iterations=k)
         if k == max_iter:
             return None
         bordered[:n, :n] = (m - 1) * apply_m2(tensor, v) - lam * np.eye(n)
@@ -338,7 +336,7 @@ def _newton_assigned_by_slices(tensor, v0, max_iter=50):
         if residual <= ACCEPT_TOL:
             lam_u, u = canonical_sign(lam_u, u, m)
             return Eigenpair(lam=lam_u, v=u, kkt_residual=residual,
-                             iterations=k, source=SOURCE_NEWTON)
+                             iterations=k)
         best = residual if best is None else min(best, residual)
         if k == max_iter:
             break

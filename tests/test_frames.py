@@ -143,7 +143,7 @@ def test_known_eigenvalue_for_three_dims_order_four():
 def test_frame_tensor_uses_every_vector():
     f = orthonormal_frame(3)
     t = frame_tensor(f, 3)
-    assert t.is_factored
+    assert not t.is_dense
     assert t.vectors.shape == (3, 3)
     npt.assert_allclose(t.weights, np.ones(3), atol=0)
 
@@ -201,8 +201,10 @@ def test_frame_json_round_trip(tmp_path):
     npt.assert_array_equal(back.vectors, f.vectors)
 
 
-def test_frame_payload_count_mismatch_is_rejected(tmp_path):
+@pytest.mark.parametrize("vectors", ["[[1.0, 0.0], [0.0]]", "[]"],
+                         ids=["ragged", "empty"])
+def test_frame_payload_without_a_shape_is_rejected(tmp_path, vectors):
     path = tmp_path / "frame.json"
-    path.write_text('{"dim": 2, "count": 3, "vectors": [[1.0, 0.0]]}')
+    path.write_text(f'{{"vectors": {vectors}}}')
     with pytest.raises(ValueError):
         load_frame(path)

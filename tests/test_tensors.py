@@ -61,7 +61,7 @@ def test_outer_power_rejects_non_unit_vectors():
 def test_rank_one_sum_matches_dense_sum():
     terms = [(2.0, unit([1.0, 0.0, 0.0])), (-0.5, unit([1.0, 1.0, 1.0]))]
     t = from_rank_one_sum(terms, order=4)
-    assert t.is_factored
+    assert not t.is_dense
     expected = sum(
         c * densify(outer_power(w, 4)).entries for c, w in terms
     )
@@ -402,7 +402,7 @@ def test_factored_json_round_trip_is_exact(tmp_path):
     path = tmp_path / "factored.json"
     save_tensor(t, path)
     back = load_tensor(path)
-    assert back.is_factored
+    assert not back.is_dense
     npt.assert_array_equal(back.weights, t.weights)
     npt.assert_array_equal(back.vectors, t.vectors)
 
