@@ -41,8 +41,7 @@ from .harness import (
     validate_sweep_row,
 )
 from .stability import classify_pair, report_to_payload
-from .tensors import (CapacityError, load_tensor, save_tensor,
-                      tensor_to_payload)
+from .tensors import load_tensor, save_tensor, tensor_to_payload
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,7 +141,8 @@ def _cmd_eig_enumerate2d(args) -> int:
 
 def _cmd_eig_classify(args) -> int:
     tensor = load_tensor(args.tensor)
-    solved_on, pairs = pairs_from_payload(jsonio.load(args.pairs))
+    with jsonio.reading(args.pairs):
+        solved_on, pairs = pairs_from_payload(jsonio.load(args.pairs))
     if tensor_to_payload(solved_on) != tensor_to_payload(tensor):
         raise ValueError(
             f"{args.pairs} was solved on a different tensor than {args.tensor}"
@@ -276,9 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    # a file of the wrong shape (a null or a list where a number or an
-    # object belongs) is a usage error too, reported as TypeError
-    except (ValueError, TypeError, OSError, KeyError, CapacityError) as exc:
+    # the loaders refuse a malformed file as ValueError; MemoryError is a
+    # count too large to allocate, such as --starts 10**15
+    except (ValueError, TypeError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import jsonio
 from .tensors import (SymmetricTensor, _as_unit_vector, _norm, apply_m,
                       apply_m1, apply_m2, tensor_from_payload,
                       tensor_to_payload)
@@ -593,8 +594,10 @@ def pairs_from_payload(payload: dict):
     classifier presumes S v^{m-1} = lambda v and the stored residual is
     only what the file says.
     """
-    tensor = tensor_from_payload(payload["tensor"])
-    pairs = [pair_from_payload(p) for p in payload["pairs"]]
+    with jsonio.reading("tensor"):
+        tensor = tensor_from_payload(payload["tensor"])
+    with jsonio.reading("pairs"):
+        pairs = [pair_from_payload(p) for p in payload["pairs"]]
     if pairs:
         vs = np.array([p.v for p in pairs]).T
         lams = np.array([p.lam for p in pairs])

@@ -160,7 +160,8 @@ def frame_to_payload(frame: Frame) -> dict:
 def frame_from_payload(payload: dict) -> Frame:
     """The frame whose columns are the listed vectors; Frame refuses a list
     that is empty, ragged or not finite."""
-    return Frame(np.array(payload["vectors"], dtype=float).T)
+    with jsonio.reading("vectors"):
+        return Frame(np.array(payload["vectors"], dtype=float).T)
 
 
 def save_frame(frame: Frame, path) -> None:
@@ -168,4 +169,5 @@ def save_frame(frame: Frame, path) -> None:
 
 
 def load_frame(path) -> Frame:
-    return frame_from_payload(jsonio.load(path))
+    with jsonio.reading(path):
+        return frame_from_payload(jsonio.load(path))

@@ -9,6 +9,7 @@ Non-finite floats are refused on the way out and on the way in.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -32,4 +33,17 @@ def load(path):
         return json.loads(Path(path).read_text(encoding="utf-8"),
                           parse_constant=_reject_constant)
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
+@contextmanager
+def reading(what):
+    """Refuse a malformed payload read in the block as one ValueError whose
+    message starts with ``what``: a loader names its file, and a payload
+    reader the top-level field, so the message gives both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what}: no field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{what}: {exc}") from None

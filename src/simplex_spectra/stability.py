@@ -67,11 +67,10 @@ def classify_stationarity(k_spectrum) -> str:
 
     All eigenvalues below -STATIONARITY_TOL is a local max, all above
     +STATIONARITY_TOL a local min, any within STATIONARITY_TOL of 0
-    degenerate, otherwise a saddle.
+    degenerate, otherwise a saddle. An empty spectrum (dimension 1, where
+    the sphere is two points and both are maxima) is a local max.
     """
     spectrum = np.asarray(k_spectrum, dtype=float)
-    if spectrum.size == 0:
-        return STAT_LOCAL_MAX  # dim 1: the sphere is two points, both maxima
     if np.any(np.abs(spectrum) <= STATIONARITY_TOL):
         return STAT_DEGENERATE
     if np.all(spectrum < -STATIONARITY_TOL):

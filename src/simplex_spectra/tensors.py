@@ -34,10 +34,6 @@ UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12  # relative to the largest entry; densify leaves ~4e-16
 
 
-class CapacityError(Exception):
-    """A dense tensor would exceed DENSE_CAP entries."""
-
-
 def _check_order(order: int) -> None:
     # refused before any dim ** order is taken, with one message
     if order < 2:
@@ -49,7 +45,7 @@ def _check_capacity(dim: int, order: int) -> None:
     # so the power is only taken where it is small
     if dim > 1 and (order >= DENSE_CAP.bit_length()
                     or dim ** order > DENSE_CAP):
-        raise CapacityError(
+        raise ValueError(
             f"dense tensor with {dim}^{order} entries exceeds the cap of "
             f"{DENSE_CAP}"
         )
@@ -319,23 +315,26 @@ def tensor_to_payload(tensor: SymmetricTensor) -> dict:
 
 
 def tensor_from_payload(payload: dict) -> SymmetricTensor:
-    order = int(payload["order"])
-    _check_order(order)
+    with jsonio.reading("order"):
+        order = int(payload["order"])
+        _check_order(order)
     kind = payload["repr"]
     if kind == "dense":
-        dim = int(payload["dim"])
-        if dim < 1:
-            raise ValueError(f"dense payload needs dim >= 1, got {dim}")
-        _check_capacity(dim, order)
-        flat = np.asarray(payload["entries"], dtype=float)
-        if flat.size != dim ** order:
-            raise ValueError(
-                f"dense payload has {flat.size} entries, expected {dim ** order}"
-            )
-        return from_dense(flat.reshape((dim,) * order))
+        with jsonio.reading("dim"):
+            dim = int(payload["dim"])
+            if dim < 1:
+                raise ValueError(f"dense payload needs dim >= 1, got {dim}")
+            _check_capacity(dim, order)
+        with jsonio.reading("entries"):
+            flat = np.asarray(payload["entries"], dtype=float)
+            if flat.size != dim ** order:
+                raise ValueError(f"dense payload has {flat.size} entries, "
+                                 f"expected {dim ** order}")
+            return from_dense(flat.reshape((dim,) * order))
     if kind == "factored":
-        return from_rank_one_sum(
-            ((t["weight"], t["vector"]) for t in payload["terms"]), order)
+        with jsonio.reading("terms"):
+            return from_rank_one_sum(
+                ((t["weight"], t["vector"]) for t in payload["terms"]), order)
     raise ValueError(f"unknown tensor repr {kind!r}")
 
 
@@ -344,4 +343,5 @@ def save_tensor(tensor: SymmetricTensor, path) -> None:
 
 
 def load_tensor(path) -> SymmetricTensor:
-    return tensor_from_payload(jsonio.load(path))
+    with jsonio.reading(path):
+        return tensor_from_payload(jsonio.load(path))

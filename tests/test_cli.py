@@ -737,3 +737,41 @@ def test_a_malformed_file_is_a_usage_error(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("certify", '{"vectors": [[1.0, 0.0], [1.0]]}', "vectors"),
+    ("certify", '{"vectors": {"a": 1}}', "vectors"),
+    ("solve", '{"order": 3, "repr": "factored", "terms": '
+              '[{"weight": 1.0, "vector": [1.0, "x"]}]}', "terms"),
+    ("classify", f'{{"tensor": {_PLANE}, "pairs": '
+                 '[{"lambda": "x", "v": [1.0, 0.0], "residual": 0.0}]}',
+     "pairs"),
+], ids=["ragged-vectors", "object-vectors", "string-entry", "string-lambda"])
+def test_a_malformed_file_error_names_the_file_and_field(tmp_path, capsys,
+                                                         command, text, field):
+    tensor_path, bad, out = (tmp_path / name for name in
+                             ("t.json", "bad.json", "out.json"))
+    tensor_path.write_text(_PLANE)
+    bad.write_text(text)
+    argv = {"classify": ("eig", "classify", "--tensor", tensor_path,
+                         "--pairs", bad, "--out", out),
+            "solve": ("eig", "solve", "--tensor", bad, "--out", out),
+            "certify": ("frame", "certify", "--in", bad)}[command]
+    assert run_cli(*map(str, argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {field}: "), err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_a_count_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    # 10^15 starts in R^3 ask for 21.3 PiB, more than a 64-bit process can
+    # address, so the draw is refused at once on any machine
+    tensor_path, out = tmp_path / "t.json", tmp_path / "out.json"
+    save_tensor(simplex_tensor(3, 4), tensor_path)
+    assert run_cli("eig", "solve", "--tensor", str(tensor_path), "--starts",
+                   str(10 ** 15), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
